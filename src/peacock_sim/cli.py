@@ -8,9 +8,10 @@ import os
 import sys
 
 from .driver import run_simulation
-from .engine import SimConfig, SimulationError, US_PER_S
+from .engine import SimConfig, SimulationError, US_PER_S, derived_rng
 from .metrics import EMPTY_REPORT, fraction_faster, summarize
-from .workload import SyntheticSpec, load_trace, mean_interarrival_us, generate
+from .workload import (SyntheticSpec, TraceError, generate, load_trace,
+                       mean_interarrival_us)
 
 REPORT_SCHEMA = "peacock-report-1"
 
@@ -74,14 +75,15 @@ def make_workload(args, seed):
         if dropped:
             print("pruned %d invalid jobs from trace" % dropped,
                   file=sys.stderr)
-        if any(r.submit_us is None for r in records):
-            spec = SyntheticSpec(load=args.load, job_count=1, seed=seed)
+        missing = [r.job_id for r in records if r.submit_us is None]
+        if 0 < len(missing) < len(records):
+            raise TraceError("job %r has no submit_us but other jobs do"
+                             % (missing[0],))
+        if missing:
+            tasks = sum(r.task_count for r in records)
             gap = mean_interarrival_us(
-                args.load, args.workers,
-                sum(r.task_count for r in records) / len(records),
-                sum(r.total_work_us for r in records)
-                / sum(r.task_count for r in records))
-            from .engine import derived_rng
+                args.load, args.workers, tasks / len(records),
+                sum(r.total_work_us for r in records) / tasks)
             rng = derived_rng(seed, "trace-arrivals")
             t = 0.0
             for r in records:
@@ -203,6 +205,9 @@ def main(argv=None):
         return cmd_compare(args)
     except SimulationError as exc:
         print("simulation error: %s" % exc, file=sys.stderr)
+        return 1
+    except TraceError as exc:
+        print("trace error: %s" % exc, file=sys.stderr)
         return 1
 
 

@@ -7,7 +7,7 @@ from .baselines import (EagleCentral, EagleScheduler, EagleWorker,
                         SparrowScheduler, SparrowWorker)
 from .engine import SimConfig, Simulation, SimulationError, derived_rng
 from .scheduler import PeacockScheduler
-from .worker import IDLE, PeacockWorker
+from .worker import IDLE, PeacockWorker, Ring
 
 
 @dataclass
@@ -33,9 +33,8 @@ def _build_peacock(sim, config):
     sched_eids = [s.eid for s in schedulers]
     for s in schedulers:
         s.peer_eids = [e for e in sched_eids if e != s.eid]
-    # All workers tick at multiples of the rotation interval.
-    for w in workers:
-        sim.schedule_at(config.rotation_interval_us, w.eid, ("tick",))
+    ring = Ring(sim, workers)   # last: worker eids are their ring indices
+    sim.schedule_at(config.rotation_interval_us, ring.eid, ("round",))
     return workers, schedulers
 
 

@@ -3,8 +3,8 @@
 The virtual clock is integer microseconds.  Events are totally ordered by
 (time, sequence number); the sequence number is a global send counter, so
 two events scheduled for the same instant are delivered in send order.
-Messages between entities incur the configured network delay; self timers
-(task completions, rotation ticks) are delivered without delay.
+Messages between entities incur the configured network delay; timers
+(task completions, ring rotation rounds) are delivered without delay.
 """
 
 import hashlib

@@ -44,18 +44,18 @@ class Probe:
 
     ``arrival_us`` (job arrival), ``runtime_us`` (runtime estimate) and
     ``allowance_us`` (waiting-time allowance, frozen at admission) never
-    change after creation.  ``rotations`` counts ring hops.
+    change after creation, so ``deadline_us`` and ``key`` are computed
+    once.  ``rotations`` counts ring hops.
     """
 
     __slots__ = (
         "job_id", "task_id", "arrival_us", "runtime_us", "allowance_us",
-        "probe_arrival_us", "rotations", "scheduler",
+        "deadline_us", "key", "rotations", "scheduler",
         "is_long", "resampled", "enqueued_us",
     )
 
     def __init__(self, job_id, task_id, arrival_us, runtime_us, allowance_us,
-                 scheduler=None, rotations=0, probe_arrival_us=None,
-                 is_long=False):
+                 scheduler=None, is_long=False):
         if runtime_us <= 0:
             raise InvalidProbeError("probe runtime estimate must be positive")
         if allowance_us < 0:
@@ -65,21 +65,14 @@ class Probe:
         self.arrival_us = arrival_us
         self.runtime_us = runtime_us
         self.allowance_us = allowance_us
-        self.probe_arrival_us = probe_arrival_us
-        self.rotations = rotations
+        self.deadline_us = arrival_us + allowance_us
+        self.key = (job_id, task_id)
+        self.rotations = 0
         self.scheduler = scheduler
         # Baseline-only bookkeeping (Eagle re-sampling, SRPT ordering).
         self.is_long = is_long
         self.resampled = False
         self.enqueued_us = 0
-
-    @property
-    def deadline_us(self):
-        return self.arrival_us + self.allowance_us
-
-    @property
-    def key(self):
-        return (self.job_id, self.task_id)
 
     def __repr__(self):
         return ("Probe(job=%r, task=%r, arr=%d, rt=%d, allow=%d, rot=%d)"

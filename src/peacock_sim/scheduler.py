@@ -125,6 +125,8 @@ class PeacockScheduler:
             self.sim.send(eid, ("peer", dcount, dload_us), now)
 
     def on_peer_update(self, dcount, dload_us):
+        """Apply a peer's aggregate delta, or this scheduler's own for a task
+        finish; a total driven negative is clamped to zero and counted."""
         self.probe_count += dcount
         self.load_us += dload_us
         if self.probe_count < 0 or self.load_us < 0:
@@ -188,12 +190,7 @@ class PeacockScheduler:
         if job is None:
             raise ProtocolError("finish for unknown job %r" % (job_id,))
         theta = job.thetas[stage_idx]
-        self.probe_count -= 1
-        self.load_us -= theta
-        if self.probe_count < 0 or self.load_us < 0:
-            self.probe_count = max(0, self.probe_count)
-            self.load_us = max(0, self.load_us)
-            self.sim.counters["aggregate_clamps"] += 1
+        self.on_peer_update(-1, -theta)
         self.broadcast_peer(-1, -theta, now)
         for ready in job.task_finished(stage_idx, task_id, finish_us):
             self.submit_stage(job, ready, now)

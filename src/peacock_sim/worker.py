@@ -3,43 +3,20 @@
 A worker executes one task at a time.  Between requesting a task and
 receiving its data the single slot is *reserved*: the worker neither
 executes nor pulls another probe, and concurrent enqueues see a remaining
-runtime of zero.  Probes marked for rotation leave in one batched message
-per round, grouped by job to drop the per-probe redundancy.
+runtime of zero.  Probes marked for rotation wait in the rotating buffer
+until the next ring round hands them, each job's together, to the successor.
 """
 
 from .engine import ProtocolError
-from .probes import EMPTY_STATE, Probe, WaitingQueue
+from .probes import EMPTY_STATE, WaitingQueue
 
 IDLE = "idle"
 RESERVED = "reserved"
 RUNNING = "running"
 
 
-def encode_rotation_batch(probes):
-    """Group probes by job so shared fields are carried once per job."""
-    groups = {}
-    order = []
-    for p in probes:
-        key = (p.job_id, p.arrival_us, p.allowance_us, p.runtime_us, p.scheduler)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append((p.task_id, p.rotations, p.probe_arrival_us))
-    return [(key, groups[key]) for key in order]
-
-
-def decode_rotation_batch(batch):
-    probes = []
-    for (job_id, arrival, allowance, runtime, scheduler), tasks in batch:
-        for task_id, rotations, beta in tasks:
-            probes.append(Probe(job_id, task_id, arrival, runtime, allowance,
-                                scheduler=scheduler, rotations=rotations,
-                                probe_arrival_us=beta))
-    return probes
-
-
 class PeacockWorker:
-    """One ring node: elastic queue, single execution slot, rotation rounds."""
+    """One ring node: elastic queue, single execution slot, rotating buffer."""
 
     def __init__(self, sim, index, successor_eid):
         self.sim = sim
@@ -63,22 +40,16 @@ class PeacockWorker:
         if kind == "probe":
             _, probe, state, _via = payload
             self.adopt_shared_state(state)
-            if probe.probe_arrival_us is None:
-                probe.probe_arrival_us = now
             self.on_probe_arrival(probe, now)
         elif kind == "rotation":
-            _, batch, state = payload
+            _, probes, state = payload
             self.adopt_shared_state(state)
-            for probe in decode_rotation_batch(batch):
-                if probe.probe_arrival_us is None:
-                    probe.probe_arrival_us = now
+            for probe in probes:
                 self.on_probe_arrival(probe, now)
         elif kind == "assign":
             _, job_id, task_id, duration_us, state = payload
             self.adopt_shared_state(state)
             self.on_task_assign(job_id, task_id, duration_us, now)
-        elif kind == "tick":
-            self.on_rotation_tick(now)
         elif kind == "complete":
             self.on_task_complete(now)
         else:
@@ -114,23 +85,23 @@ class PeacockWorker:
 
     # -- rotation rounds ----------------------------------------------------
 
-    def on_rotation_tick(self, now):
-        state_changed = self.known_state.version > self.last_sent_version
-        if self.queue.rotating or state_changed:
-            probes = self.queue.rotating
-            self.queue.rotating = []
-            for p in probes:
-                p.rotations += 1
-                self.held.discard(p.key)
-            batch = encode_rotation_batch(probes)
-            self.sim.send(self.successor_eid,
-                          ("rotation", batch, self.known_state), now)
-            self.sim.counters["rotation_messages"] += 1
-            self.sim.counters["probe_hops"] += len(probes)
-            self.last_sent_version = self.known_state.version
-        if self.sim.jobs_done < self.sim.total_jobs:
-            self.sim.schedule_at(
-                now + self.sim.config.rotation_interval_us, self.eid, ("tick",))
+    def rotate(self, now):
+        """Send the rotating probes, each job's together in first-seen order,
+        and the known shared state to the ring successor."""
+        probes = self.queue.rotating
+        self.queue.rotating = []
+        by_job = {}
+        for p in probes:
+            p.rotations += 1
+            self.held.discard(p.key)
+            by_job.setdefault(p.job_id, []).append(p)
+        if len(by_job) > 1:
+            probes = [p for group in by_job.values() for p in group]
+        self.sim.send(self.successor_eid,
+                      ("rotation", probes, self.known_state), now)
+        self.sim.counters["rotation_messages"] += 1
+        self.sim.counters["probe_hops"] += len(probes)
+        self.last_sent_version = self.known_state.version
 
     # -- task lifecycle -----------------------------------------------------
 
@@ -168,3 +139,22 @@ class PeacockWorker:
             self.slot = IDLE
             assert not self.queue.entries, \
                 "worker went idle with queued probes"
+
+
+class Ring:
+    """One rotation round per interval: in index order, every worker with
+    rotating probes or a fresher shared state than it last sent rotates."""
+
+    def __init__(self, sim, workers):
+        self.sim = sim
+        self.workers = workers
+        self.eid = sim.add_entity(self)
+
+    def handle(self, payload, now):
+        for w in self.workers:
+            if w.queue.rotating or w.known_state.version > w.last_sent_version:
+                w.rotate(now)
+        sim = self.sim
+        if sim.jobs_done < sim.total_jobs:
+            sim.schedule_at(now + sim.config.rotation_interval_us, self.eid,
+                            ("round",))

@@ -61,16 +61,26 @@ class TraceRecord:
 
 
 def _validate(record):
-    """Return None if the record is valid, else a reason string."""
+    """Return None if the record is valid, else a reason string.  Raises
+    TypeError if a duration or dep is not an int (a bool is not)."""
     if not record.stages:
         return "no stages"
+    reason = None
     for stage in record.stages:
         if not stage.durations_us:
-            return "empty stage"
-        if any(d <= 0 for d in stage.durations_us):
-            return "non-positive duration"
-        if any(not 0 <= d < len(record.stages) for d in stage.deps):
-            return "dep out of range"
+            reason = "empty stage"
+        for d in stage.durations_us:
+            if type(d) is not int:
+                raise TypeError("duration %r is not an integer" % (d,))
+            if d <= 0:
+                reason = "non-positive duration"
+        for d in stage.deps:
+            if type(d) is not int:
+                raise TypeError("dep %r is not an integer" % (d,))
+            if not 0 <= d < len(record.stages):
+                reason = "dep out of range"
+    if reason is not None:
+        return reason
     # Cycle check by iterative removal of dep-free stages.
     remaining = {i: set(s.deps) for i, s in enumerate(record.stages)}
     while remaining:
@@ -88,8 +98,8 @@ def load_trace(path):
     """Parse a trace file.
 
     Returns ``(records, dropped)`` where ``dropped`` counts invalid jobs
-    that were pruned.  Structurally malformed lines are fatal and reported
-    with their line number.
+    that were pruned.  Malformed lines and values of the wrong type are
+    fatal and reported with their line number.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
     records = []
@@ -104,25 +114,30 @@ def load_trace(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise TraceError("line %d: invalid JSON (%s)" % (lineno, exc))
-            if "schema" in obj and "id" not in obj:
-                if obj["schema"] != SCHEMA:
-                    raise TraceError(
-                        "line %d: unsupported schema %r" % (lineno, obj["schema"]))
-                continue
             try:
+                if "schema" in obj and "id" not in obj:
+                    if obj["schema"] != SCHEMA:
+                        raise TraceError("line %d: unsupported schema %r"
+                                         % (lineno, obj["schema"]))
+                    continue
                 record = TraceRecord(
                     job_id=obj["id"],
                     submit_us=obj.get("submit_us"),
                     stages=[Stage(list(s["durations_us"]), list(s.get("deps", [])))
                             for s in obj["stages"]],
                 )
+                if record.job_id in seen_ids:   # TypeError if unhashable
+                    raise TraceError("line %d: duplicate job id %r"
+                                     % (lineno, record.job_id))
+                valid = _validate(record) is None
             except (KeyError, TypeError) as exc:
                 raise TraceError("line %d: bad record (%s)" % (lineno, exc))
-            if record.job_id in seen_ids:
-                raise TraceError("line %d: duplicate job id %r"
-                                 % (lineno, record.job_id))
+            submit = record.submit_us
+            if submit is not None and (type(submit) is not int or submit < 0):
+                raise TraceError("line %d: submit_us %r is not a non-negative "
+                                 "integer" % (lineno, submit))
             seen_ids.add(record.job_id)
-            if _validate(record) is None:
+            if valid:
                 records.append(record)
             else:
                 dropped += 1

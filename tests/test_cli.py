@@ -95,6 +95,16 @@ def test_trace_input_with_generated_arrivals(tmp_path, capsys):
     assert payload["jobs"] == 20
 
 
+def test_trace_with_some_submit_times_missing_is_rejected(tmp_path, capsys):
+    trace = tmp_path / "jobs.jsonl"
+    save_trace([TraceRecord(i, 5 * US if i % 2 else None, [Stage([2 * US])])
+                for i in range(1, 5)], trace)
+    code = main(["run", "--trace", str(trace)] + SMALL)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "job 2 has no submit_us" in captured.err
+
+
 def test_unknown_algorithm_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--algo", "mystery"])

@@ -100,6 +100,19 @@ def test_peer_update_clamps_below_zero():
     assert sim.counters["aggregate_clamps"] == 1
 
 
+def test_finish_clamps_an_aggregate_a_peer_already_drained():
+    sim, sched, recorders, _ = make_scheduler()
+    sched.on_job_arrival(job("j", [20]), now=0)
+    sim.run()
+    (probe,) = [m[1] for r in recorders for _, m in r.inbox
+                if m[0] == "probe"]
+    sched.on_peer_update(-1, -20 * US)
+    sched.handle(("task_request", probe, recorders[0].eid), 1 * US)
+    sched.handle(("task_finish", probe.job_id, 0, 21 * US), 21 * US)
+    assert (sched.probe_count, sched.load_us) == (0, 0)
+    assert sim.counters["aggregate_clamps"] == 1
+
+
 # -- probe placement ---------------------------------------------------------
 
 def test_probes_share_threshold_and_allowance():

@@ -5,8 +5,7 @@ import pytest
 
 from peacock_sim.engine import ProtocolError, SimConfig, Simulation
 from peacock_sim.probes import Probe, SharedState
-from peacock_sim.worker import (IDLE, RESERVED, RUNNING, PeacockWorker,
-                                decode_rotation_batch, encode_rotation_batch)
+from peacock_sim.worker import IDLE, RESERVED, RUNNING, PeacockWorker, Ring
 
 US = 1_000_000
 
@@ -44,6 +43,13 @@ def state(phi, omega_s, version=(0, 0)):
 def probe(job, task=0, lam=0, theta=5, mu=100, scheduler=None):
     return Probe(job, task, lam * US, theta * US, mu * US,
                  scheduler=scheduler)
+
+
+def run_busy(worker, sched):
+    """Occupy the slot so that arriving probes queue or rotate."""
+    worker.slot = RUNNING
+    worker.running_probe = probe("r", scheduler=sched.eid)
+    worker.finish_us = 500 * US
 
 
 def test_idle_worker_reserves_and_requests_task():
@@ -87,47 +93,91 @@ def test_duplicate_probe_arrival_is_protocol_violation():
                        state(5, 100, version=(1, 0)), "submit"), 1)
 
 
-def test_rotation_tick_without_work_or_news_sends_nothing():
+def test_rotation_round_without_work_or_news_sends_nothing():
     sim, worker, _, successor = make_worker()
-    worker.handle(("tick",), 1 * US)
+    Ring(sim, [worker]).handle(("round",), 1 * US)
     drain(sim)
     assert successor.inbox == []
 
 
-def test_rotation_batches_one_job_into_one_group():
+def test_rotate_sends_each_jobs_probes_together_as_the_same_objects():
     sim, worker, sched, successor = make_worker()
-    worker.slot = RUNNING
-    worker.running_probe = probe("r", scheduler=sched.eid)
-    worker.finish_us = 500 * US
+    run_busy(worker, sched)
+    a0, b0, a1 = (probe(job, task=task, scheduler=sched.eid)
+                  for job, task in (("a", 0), ("b", 0), ("a", 1)))
     s = state(1, 10_000)
-    for task in range(3):
-        worker.handle(("probe", probe("j", task=task, scheduler=sched.eid),
-                       s, "submit"), 10 * US)
-    assert len(worker.queue.rotating) == 3
-    worker.handle(("tick",), 11 * US)
+    for p in (a0, b0, a1):
+        worker.handle(("probe", p, s, "submit"), 10 * US)
+    assert worker.queue.rotating == [a0, b0, a1]
+    worker.rotate(11 * US)
+    assert worker.queue.rotating == [] and worker.held == set()
     drain(sim)
-    rotations = [m for _, m in successor.inbox if m[0] == "rotation"]
-    assert len(rotations) == 1
-    batch = rotations[0][1]
-    assert len(batch) == 1                      # one job group
-    assert len(batch[0][1]) == 3                # three task entries
-    probes = decode_rotation_batch(batch)
-    assert all(p.rotations == 1 for p in probes)
+    ((_, (kind, sent, carried)),) = successor.inbox
+    assert kind == "rotation" and carried is s
+    assert len(sent) == 3
+    assert all(got is want for got, want in zip(sent, (a0, a1, b0)))
+    assert [p.rotations for p in sent] == [1, 1, 1]
 
 
 def test_rotation_sends_on_state_news_alone():
     sim, worker, _, successor = make_worker()
+    ring = Ring(sim, [worker])
     worker.adopt_shared_state(state(5, 100, version=(2 * US, 0)))
-    worker.handle(("tick",), 3 * US)
+    ring.handle(("round",), 3 * US)
     drain(sim)
     assert len(successor.inbox) == 1
-    _, (_kind, batch, carried) = successor.inbox[0]
-    assert batch == []
+    _, (_kind, sent, carried) = successor.inbox[0]
+    assert sent == []
     assert carried.version == (2 * US, 0)
-    # A second tick with no further news stays quiet.
-    worker.handle(("tick",), 4 * US)
+    # A second round with no further news stays quiet.
+    ring.handle(("round",), 4 * US)
     drain(sim)
     assert len(successor.inbox) == 1
+
+
+def test_ring_round_sends_only_from_workers_with_probes_or_news_in_order():
+    sim = Simulation(SimConfig(workers=4, net_delay_us=5_000))
+    sched = Recorder(sim)
+    sink = Recorder(sim)
+    workers = [PeacockWorker(sim, i, successor_eid=sink.eid)
+               for i in range(4)]
+    ring = Ring(sim, workers)
+    workers[3].adopt_shared_state(state(5, 100, version=(2 * US, 0)))
+    run_busy(workers[1], sched)
+    p = probe("j", scheduler=sched.eid)
+    workers[1].handle(("probe", p, state(1, 10_000), "submit"), 1 * US)
+    assert workers[1].queue.rotating == [p]
+    ring.handle(("round",), 3 * US)
+    drain(sim)
+    assert [(sent, carried.version) for _, (_, sent, carried) in sink.inbox] \
+        == [([p], (0, 0)), ([], (2 * US, 0))]
+    assert [w.last_sent_version for w in workers] == \
+        [(-1, -1), (0, 0), (-1, -1), (2 * US, 0)]
+
+
+class JobFinisher:
+    """Stand-in entity that marks the run's only job done when called."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.eid = sim.add_entity(self)
+
+    def handle(self, payload, now):
+        self.sim.jobs_done += 1
+
+
+def test_ring_stops_rearming_once_all_jobs_are_done():
+    sim, worker, _, _ = make_worker()
+    interval = sim.config.rotation_interval_us
+    ring = Ring(sim, [worker])
+    finisher = JobFinisher(sim)
+    sim.total_jobs = 1
+    sim.schedule_at(interval, ring.eid, ("round",))
+    sim.schedule_at(5 * interval // 2, finisher.eid, ("done",))
+    # Rounds at 1, 2 and 3 intervals, plus the finisher's event; the
+    # round at 3 intervals sees every job done and does not re-arm.
+    assert sim.run() == 4
+    assert sim.now == 3 * interval
 
 
 def test_adopt_same_version_is_noop():
@@ -200,15 +250,3 @@ def test_assign_without_reservation_is_protocol_violation():
     sim, worker, _, _ = make_worker()
     with pytest.raises(ProtocolError):
         worker.handle(("assign", "j", 0, 10 * US, state(5, 100)), 0)
-
-
-def test_rotation_batch_roundtrip():
-    probes = [probe("a", task=i, theta=2, mu=7) for i in range(3)]
-    probes += [probe("b", task=0, lam=4, theta=9, mu=7)]
-    for p in probes:
-        p.rotations = 2
-    decoded = decode_rotation_batch(encode_rotation_batch(probes))
-    assert [(p.key, p.arrival_us, p.runtime_us, p.allowance_us, p.rotations)
-            for p in decoded] == \
-           [(p.key, p.arrival_us, p.runtime_us, p.allowance_us, p.rotations)
-            for p in probes]

@@ -64,6 +64,25 @@ def test_malformed_json_is_fatal_with_line_number(tmp_path):
         load_trace(path)
 
 
+@pytest.mark.parametrize("bad", [
+    {"id": "b", "stages": [{"durations_us": [1500.5]}]},
+    {"id": "b", "stages": [{"durations_us": [True]}]},
+    {"id": "b", "stages": [{"durations_us": ["5"]}]},
+    {"id": "b", "stages": [{"durations_us": [US]}, {"durations_us": [US],
+                                                    "deps": ["0"]}]},
+    {"id": "b", "submit_us": 1.5, "stages": [{"durations_us": [US]}]},
+    {"id": "b", "submit_us": -5, "stages": [{"durations_us": [US]}]},
+    {"id": ["b"], "stages": [{"durations_us": [US]}]},
+    5,
+], ids=["float-duration", "bool-duration", "string-duration", "string-dep",
+        "float-submit", "negative-submit", "list-id", "not-an-object"])
+def test_bad_values_are_fatal_with_line_number(tmp_path, bad):
+    path = tmp_path / "t.jsonl"
+    write_lines(path, [{"id": "a", "stages": [{"durations_us": [US]}]}, bad])
+    with pytest.raises(TraceError, match="line 2"):
+        load_trace(path)
+
+
 def test_duplicate_job_id_is_fatal(tmp_path):
     path = tmp_path / "t.jsonl"
     write_lines(path, [
