@@ -5,12 +5,22 @@ The virtual clock is integer microseconds.  Events are totally ordered by
 two events scheduled for the same instant are delivered in send order.
 Messages between entities incur the configured network delay; timers
 (task completions, ring rotation rounds) are delivered without delay.
+
+A heap entry is a list of (target, payload) events for one instant.  The
+events that the handlers of one entry schedule for ``now + net_delay_us``
+-- all their sends, and any timer due at that instant -- are collected in
+call order and pushed as one entry when the handlers return.  Nothing
+else can fall between them at that instant, so delivering the list in
+order is the (time, seq) order of pushing each event alone.  Events
+scheduled outside ``run()`` or for any other instant are pushed alone.
 """
 
 import hashlib
 import heapq
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from .probes import BYPASS_LITERAL, BYPASS_PROSE
 
 US_PER_S = 1_000_000
 
@@ -23,6 +33,13 @@ class ProtocolError(SimulationError):
     """An entity observed a message that its protocol forbids."""
 
 
+#: SimConfig fields that must be plain ints (a bool is not one).
+_INT_FIELDS = ("workers", "schedulers", "rotation_interval_us", "net_delay_us",
+               "seed", "event_cap", "sparrow_probe_ratio",
+               "eagle_long_cutoff_us", "eagle_probe_ratio",
+               "eagle_srpt_bound_us")
+
+
 @dataclass
 class SimConfig:
     workers: int = 100
@@ -33,7 +50,7 @@ class SimConfig:
     algo: str = "peacock"
     event_cap: int = 200_000_000
     # Elastic-queue bypass rule; see probes.BYPASS_PROSE / BYPASS_LITERAL.
-    bypass_rule: str = "prose"
+    bypass_rule: str = BYPASS_PROSE
     # Job-to-scheduler assignment: "round_robin" or "random".
     job_assignment: str = "round_robin"
     # Sparrow
@@ -45,16 +62,26 @@ class SimConfig:
     eagle_srpt_bound_us: int = 5 * US_PER_S
 
     def __post_init__(self):
-        if self.workers < 1:
-            raise SimulationError("need at least one worker")
-        if self.schedulers < 1:
-            raise SimulationError("need at least one scheduler")
-        if self.rotation_interval_us <= 0:
-            raise SimulationError("rotation interval must be positive")
-        if self.net_delay_us < 0:
-            raise SimulationError("network delay cannot be negative")
-        if self.algo not in ("peacock", "sparrow", "eagle"):
-            raise SimulationError("unknown algorithm %r" % self.algo)
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise SimulationError("%s must be an integer, not %r"
+                                      % (name, value))
+        for name, low in (("workers", 1), ("schedulers", 1),
+                          ("rotation_interval_us", 1), ("net_delay_us", 0),
+                          ("event_cap", 1), ("sparrow_probe_ratio", 1),
+                          ("eagle_probe_ratio", 1)):
+            value = getattr(self, name)
+            if value < low:
+                raise SimulationError("%s must be at least %d, not %r"
+                                      % (name, low, value))
+        for name, allowed in (("algo", ("peacock", "sparrow", "eagle")),
+                              ("bypass_rule", (BYPASS_PROSE, BYPASS_LITERAL)),
+                              ("job_assignment", ("round_robin", "random"))):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise SimulationError("%s must be one of %s, not %r"
+                                      % (name, ", ".join(allowed), value))
 
 
 def derived_rng(seed, *tags):
@@ -76,6 +103,10 @@ class Simulation:
         self.now = 0
         self._heap = []
         self._seq = 0
+        # While run() handles an entry: the instant now + net_delay_us and
+        # the events collected for it.  None outside run().
+        self._batch_us = None
+        self._batch = None
         self.entities = []
         self.counters = {
             "messages": 0,
@@ -99,8 +130,12 @@ class Simulation:
 
     def schedule_at(self, time_us, target, payload):
         """Schedule a timer event; not counted as a network message."""
-        heapq.heappush(self._heap, (time_us, self._seq, target, payload))
-        self._seq += 1
+        if time_us == self._batch_us:
+            self._batch.append((target, payload))
+        else:
+            heapq.heappush(self._heap,
+                           (time_us, self._seq, [(target, payload)]))
+            self._seq += 1
 
     def send(self, target, payload, now_us):
         """Deliver ``payload`` to ``target`` after the network delay."""
@@ -110,21 +145,33 @@ class Simulation:
         self.schedule_at(now_us + self.config.net_delay_us, target, payload)
 
     def run(self):
-        """Process events in (time, seq) order until the queue drains."""
+        """Process events in (time, seq) order until the queue drains;
+        returns the number of events handled."""
         heap = self._heap
+        entities = self.entities
         cap = self.config.event_cap
+        delay = self.config.net_delay_us
         processed = 0
-        while heap:
-            time_us, _seq, target, payload = heapq.heappop(heap)
-            if time_us < self.now:
-                raise SimulationError(
-                    "causality violation: event at %d before clock %d"
-                    % (time_us, self.now))
-            self.now = time_us
-            self.entities[target].handle(payload, time_us)
-            processed += 1
-            if processed > cap:
-                raise SimulationError(
-                    "event cap %d exceeded at t=%dus (%d/%d jobs done)"
-                    % (cap, self.now, self.jobs_done, self.total_jobs))
+        try:
+            while heap:
+                time_us, _seq, events = heapq.heappop(heap)
+                if time_us < self.now:
+                    raise SimulationError(
+                        "causality violation: event at %d before clock %d"
+                        % (time_us, self.now))
+                self.now = time_us
+                self._batch_us = time_us + delay
+                batch = self._batch = []
+                for target, payload in events:
+                    entities[target].handle(payload, time_us)
+                if batch:
+                    heapq.heappush(heap, (time_us + delay, self._seq, batch))
+                    self._seq += 1
+                processed += len(events)
+                if processed > cap:
+                    raise SimulationError(
+                        "event cap %d exceeded at t=%dus (%d/%d jobs done)"
+                        % (cap, self.now, self.jobs_done, self.total_jobs))
+        finally:
+            self._batch_us = self._batch = None
         return processed

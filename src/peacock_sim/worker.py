@@ -5,6 +5,8 @@ receiving its data the single slot is *reserved*: the worker neither
 executes nor pulls another probe, and concurrent enqueues see a remaining
 runtime of zero.  Probes marked for rotation wait in the rotating buffer
 until the next ring round hands them, each job's together, to the successor.
+A worker that gains rotating probes or adopts a fresher shared state adds
+its index to the ring's dirty set, so a round visits only those workers.
 """
 
 from .engine import ProtocolError
@@ -32,6 +34,9 @@ class PeacockWorker:
         self.running_duration_us = 0
         self.finish_us = 0
         self.held = set()
+        # Indices of workers the next ring round must visit; a Ring
+        # replaces this with the set it shares among its workers.
+        self.dirty = set()
 
     # -- event dispatch -----------------------------------------------------
 
@@ -73,6 +78,8 @@ class PeacockWorker:
             delta = 0
         self.queue.enqueue(probe, now, delta, self.known_state,
                            bypass_rule=self.sim.config.bypass_rule)
+        if self.queue.rotating:
+            self.dirty.add(self.index)
         # Evicted probes are already in the rotating buffer; they stay held
         # until the next rotation round carries them off.
 
@@ -81,6 +88,7 @@ class PeacockWorker:
         if state.version <= self.known_state.version:
             return []
         self.known_state = state
+        self.dirty.add(self.index)
         return self.queue.trim_to_quota(state)
 
     # -- rotation rounds ----------------------------------------------------
@@ -142,18 +150,26 @@ class PeacockWorker:
 
 
 class Ring:
-    """One rotation round per interval: in index order, every worker with
-    rotating probes or a fresher shared state than it last sent rotates."""
+    """One rotation round per interval.  ``workers[i]`` is the worker with
+    index ``i``; a round visits only the dirty ones, in index order, and
+    each with rotating probes or a fresher shared state than it last sent
+    rotates."""
 
     def __init__(self, sim, workers):
         self.sim = sim
         self.workers = workers
         self.eid = sim.add_entity(self)
+        self.dirty = set()
+        for w in workers:
+            w.dirty = self.dirty
 
     def handle(self, payload, now):
-        for w in self.workers:
+        workers = self.workers
+        for i in sorted(self.dirty):
+            w = workers[i]
             if w.queue.rotating or w.known_state.version > w.last_sent_version:
                 w.rotate(now)
+        self.dirty.clear()
         sim = self.sim
         if sim.jobs_done < sim.total_jobs:
             sim.schedule_at(now + sim.config.rotation_interval_us, self.eid,

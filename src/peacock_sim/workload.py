@@ -126,17 +126,26 @@ def load_trace(path):
                     stages=[Stage(list(s["durations_us"]), list(s.get("deps", [])))
                             for s in obj["stages"]],
                 )
-                if record.job_id in seen_ids:   # TypeError if unhashable
-                    raise TraceError("line %d: duplicate job id %r"
-                                     % (lineno, record.job_id))
                 valid = _validate(record) is None
             except (KeyError, TypeError) as exc:
                 raise TraceError("line %d: bad record (%s)" % (lineno, exc))
+            # Ids are compared as printed: 1 and "1" name the same job.
+            job_id = record.job_id
+            if type(job_id) is str:
+                printed = job_id
+            elif type(job_id) is int:
+                printed = str(job_id)
+            else:
+                raise TraceError("line %d: job id %r is not a string or an "
+                                 "integer" % (lineno, job_id))
+            if printed in seen_ids:
+                raise TraceError("line %d: duplicate job id %r"
+                                 % (lineno, job_id))
             submit = record.submit_us
             if submit is not None and (type(submit) is not int or submit < 0):
                 raise TraceError("line %d: submit_us %r is not a non-negative "
                                  "integer" % (lineno, submit))
-            seen_ids.add(record.job_id)
+            seen_ids.add(printed)
             if valid:
                 records.append(record)
             else:

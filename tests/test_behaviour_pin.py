@@ -1,4 +1,4 @@
-"""Behaviour pins: Peacock's report digest on two small fixed configs.
+"""Behaviour pins: each algorithm's report digest on small fixed configs.
 
 A refactor that is meant to keep behaviour must keep these digests; one
 that changes behaviour on purpose updates them and says why in
@@ -42,10 +42,25 @@ def records():
 @pytest.mark.parametrize("net_delay_us, expected", [
     (5_000, "4607719558fb2d54"),
     (0, "2c456cdb63231197"),
+    # Equal to the rotation interval: a round's rotation messages land at
+    # the same instant as the next round, and must be delivered before it.
+    (US, "f9977515b7cb5462"),
 ])
 def test_peacock_report_digest_is_pinned(records, net_delay_us, expected):
     result = driver.run_simulation(
         SimConfig(workers=WORKERS, schedulers=4, seed=1,
-                  net_delay_us=net_delay_us), records)
+                  rotation_interval_us=US, net_delay_us=net_delay_us),
+        records)
     assert result.counters["probe_hops"] > 0
+    assert report_digest(result) == expected
+
+
+@pytest.mark.parametrize("algo, expected", [
+    ("sparrow", "c897ae33d82b46de"),
+    ("eagle", "24e65217669f4cc3"),
+])
+def test_baseline_report_digest_is_pinned(records, algo, expected):
+    result = driver.run_simulation(
+        SimConfig(workers=WORKERS, schedulers=4, seed=1, algo=algo), records)
+    assert result.counters["probes_cancelled"] > 0
     assert report_digest(result) == expected

@@ -71,15 +71,147 @@ def test_event_cap_guards_against_runaway():
         sim.run()
 
 
+# -- delivery order around one handler's sends -------------------------------
+
+D = 5_000
+
+
+class Tap:
+    """Logs ``(now, name, payload tag)`` into a log shared by several taps."""
+
+    def __init__(self, sim, log, name):
+        self.eid = sim.add_entity(self)
+        self.log = log
+        self.name = name
+
+    def handle(self, payload, now):
+        self.log.append((now, self.name, payload[0]))
+
+
+class Script:
+    """Runs the callable its payload carries, so a test can act as a
+    handler at a chosen instant."""
+
+    def __init__(self, sim):
+        self.eid = sim.add_entity(self)
+
+    def handle(self, payload, now):
+        payload[1](now)
+
+
+def two_taps(net_delay_us=D):
+    sim = Simulation(SimConfig(workers=1, net_delay_us=net_delay_us))
+    log = []
+    return sim, log, Tap(sim, log, "a"), Tap(sim, log, "b"), Script(sim)
+
+
+def test_handler_sends_arrive_in_send_order_among_same_instant_events():
+    sim, log, a, b, script = two_taps()
+
+    def fan_out(now):
+        sim.send(a.eid, ("m1",), now)
+        sim.send(b.eid, ("m2",), now)
+        sim.send(a.eid, ("m3",), now)
+
+    def later(now):
+        sim.schedule_at(D, b.eid, ("after",))
+
+    sim.schedule_at(D, a.eid, ("before",))
+    sim.schedule_at(0, script.eid, ("run", fan_out))
+    sim.schedule_at(1, script.eid, ("run", later))
+    assert sim.run() == 7
+    assert log == [(D, "a", "before"), (D, "a", "m1"), (D, "b", "m2"),
+                   (D, "a", "m3"), (D, "b", "after")]
+
+
+def test_timer_due_with_the_sends_is_delivered_between_them():
+    sim, log, a, b, script = two_taps()
+
+    def sends_around_timers(now):
+        sim.send(a.eid, ("m1",), now)
+        sim.schedule_at(now + D, b.eid, ("timer",))
+        sim.schedule_at(now + 1, b.eid, ("early",))
+        sim.send(a.eid, ("m2",), now)
+
+    sim.schedule_at(10, script.eid, ("run", sends_around_timers))
+    sim.run()
+    assert log == [(11, "b", "early"), (10 + D, "a", "m1"),
+                   (10 + D, "b", "timer"), (10 + D, "a", "m2")]
+
+
+def test_zero_delay_send_from_a_handler_follows_the_rest_of_its_instant():
+    sim, log, a, b, script = two_taps(net_delay_us=0)
+
+    def echo(now):
+        sim.send(a.eid, ("echo",), now)
+
+    def fan_out(now):
+        sim.send(script.eid, ("run", echo), now)
+        sim.send(a.eid, ("m1",), now)
+        sim.send(b.eid, ("m2",), now)
+
+    sim.schedule_at(3, script.eid, ("run", fan_out))
+    sim.run()
+    assert log == [(3, "a", "m1"), (3, "b", "m2"), (3, "a", "echo")]
+
+
+def test_run_counts_messages_handled_and_can_resume():
+    sim, log, a, b, script = two_taps()
+
+    def fan_out(now):
+        for _ in range(3):
+            sim.send(a.eid, ("m",), now)
+
+    sim.schedule_at(0, script.eid, ("run", fan_out))
+    assert sim.run() == 4
+    # Scheduled outside run(), at what is now + delay: still delivered.
+    sim.schedule_at(sim.now + D, b.eid, ("late",))
+    assert sim.run() == 1
+    assert log[-1] == (2 * D, "b", "late")
+
+
+def test_event_cap_trips_on_a_fan_out():
+    class Doubler:
+        def __init__(self, sim):
+            self.sim = sim
+            self.eid = sim.add_entity(self)
+
+        def handle(self, payload, now):
+            self.sim.send(self.eid, payload, now)
+            self.sim.send(self.eid, payload, now)
+
+    sim = Simulation(SimConfig(workers=1, event_cap=50))
+    d = Doubler(sim)
+    sim.schedule_at(0, d.eid, ("grow",))
+    with pytest.raises(SimulationError, match="event cap 50"):
+        sim.run()
+
+
 @pytest.mark.parametrize("bad", [
     dict(workers=0),
     dict(schedulers=0),
     dict(rotation_interval_us=0),
     dict(net_delay_us=-1),
     dict(algo="fifo"),
+    dict(bypass_rule="prosee"),
+    dict(job_assignment="rand"),
+    dict(workers=True),
+    dict(schedulers=2.0),
+    dict(rotation_interval_us=1.5e6),
+    dict(net_delay_us=0.5),
+    dict(event_cap="1000"),
+    dict(eagle_long_cutoff_us=3e6),
+    dict(eagle_srpt_bound_us=False),
+    dict(event_cap=0),
+    dict(sparrow_probe_ratio=0),
+    dict(eagle_probe_ratio=0),
+    dict(seed=1.7),
+    dict(sparrow_probe_ratio=1.5),
+    dict(eagle_probe_ratio=True),
 ])
 def test_config_validation(bad):
-    with pytest.raises(SimulationError):
+    (field,) = bad
+    with pytest.raises(SimulationError, match=field):
         SimConfig(**bad)
 
 

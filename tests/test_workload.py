@@ -74,8 +74,12 @@ def test_malformed_json_is_fatal_with_line_number(tmp_path):
     {"id": "b", "submit_us": -5, "stages": [{"durations_us": [US]}]},
     {"id": ["b"], "stages": [{"durations_us": [US]}]},
     5,
+    {"id": None, "stages": [{"durations_us": [US]}]},
+    {"id": 1.0, "stages": [{"durations_us": [US]}]},
+    {"id": True, "stages": [{"durations_us": [US]}]},
 ], ids=["float-duration", "bool-duration", "string-duration", "string-dep",
-        "float-submit", "negative-submit", "list-id", "not-an-object"])
+        "float-submit", "negative-submit", "list-id", "not-an-object",
+        "null-id", "float-id", "bool-id"])
 def test_bad_values_are_fatal_with_line_number(tmp_path, bad):
     path = tmp_path / "t.jsonl"
     write_lines(path, [{"id": "a", "stages": [{"durations_us": [US]}]}, bad])
@@ -90,6 +94,18 @@ def test_duplicate_job_id_is_fatal(tmp_path):
         {"id": "a", "stages": [{"durations_us": [US]}]},
     ])
     with pytest.raises(TraceError, match="duplicate"):
+        load_trace(path)
+
+
+@pytest.mark.parametrize("first, second", [(1, "1"), ("1", 1), (7, 7)],
+                         ids=["int-then-str", "str-then-int", "same-int"])
+def test_ids_that_print_alike_are_duplicates(tmp_path, first, second):
+    path = tmp_path / "t.jsonl"
+    write_lines(path, [
+        {"id": first, "stages": [{"durations_us": [US]}]},
+        {"id": second, "stages": [{"durations_us": [US]}]},
+    ])
+    with pytest.raises(TraceError, match="line 2: duplicate"):
         load_trace(path)
 
 
