@@ -5,13 +5,15 @@ Sparrow: batch sampling (probe_ratio probes per task to random workers)
 with late binding -- a worker fetches the actual task only when a probe
 reaches its slot, and surplus probes are cancelled.
 
-Eagle: a static long/short job split.  A centralized placer puts long
-tasks on the least-loaded workers of the general partition; short jobs use
-batch sampling over all workers, a short probe landing on a worker with
-long work is re-sampled once into the short-only partition, and worker
-queues reorder shortest-estimate-first under a starvation bound.
+Eagle: a static long/short job split.  A centralized placer puts each long
+task on the least-loaded worker of the general partition (lowest index on
+ties), kept in a heap of (load, index); short jobs use batch sampling over
+all workers, a short probe landing on a worker with long work is
+re-sampled once into the short-only partition, and worker queues reorder
+shortest-estimate-first under a starvation bound.
 """
 
+import heapq
 from collections import deque
 
 from .engine import ProtocolError
@@ -187,14 +189,23 @@ class EagleWorker(_BaselineWorker):
 
 class EagleCentral:
     """Centralized long-job placer with a global view of its own
-    placements; finish notifications arrive with network delay."""
+    placements; finish notifications arrive with network delay.
+
+    Each long task goes to the least-loaded general worker, the lowest
+    index on ties.  ``loads_us`` holds the loads; ``heap`` holds
+    ``(load_us, index)`` entries, and an entry whose load differs from
+    ``loads_us`` is stale and is dropped when it reaches the top.  Every
+    worker keeps one entry that matches its load, so the first matching
+    entry on top is the least ``(load_us, index)``.
+    """
 
     def __init__(self, sim, general_worker_eids, general_indices):
         self.sim = sim
         self.eid = sim.add_entity(self)
         self.eid_by_index = dict(zip(general_indices, general_worker_eids))
-        self.general_indices = list(general_indices)
         self.loads_us = {i: 0 for i in general_indices}
+        self.heap = [(0, i) for i in general_indices]
+        heapq.heapify(self.heap)
 
     def handle(self, payload, now):
         kind = payload[0]
@@ -203,16 +214,23 @@ class EagleCentral:
             self.place_stage(job_key, durations, theta, scheduler_eid, now)
         elif kind == "long_finish":
             _, widx, theta = payload
-            self.loads_us[widx] -= theta
+            load = self.loads_us[widx] - theta
+            self.loads_us[widx] = load
+            heapq.heappush(self.heap, (load, widx))
         else:
             raise ProtocolError("eagle central: unknown payload %r" % kind)
 
     def place_stage(self, job_key, durations, theta, scheduler_eid, now):
         self.sim.counters["probes_created"] += len(durations)
+        heap = self.heap
+        loads_us = self.loads_us
         for task_id in range(len(durations)):
-            widx = min(self.general_indices,
-                       key=lambda i: (self.loads_us[i], i))
-            self.loads_us[widx] += theta
+            while heap[0][0] != loads_us[heap[0][1]]:
+                heapq.heappop(heap)
+            load, widx = heap[0]
+            load += theta
+            loads_us[widx] = load
+            heapq.heapreplace(heap, (load, widx))
             probe = Probe(job_id=job_key, task_id=task_id, arrival_us=now,
                           runtime_us=theta, allowance_us=0,
                           scheduler=scheduler_eid, is_long=True)

@@ -82,6 +82,12 @@ class SimConfig:
             if value not in allowed:
                 raise SimulationError("%s must be one of %s, not %r"
                                       % (name, ", ".join(allowed), value))
+        fraction = self.eagle_short_fraction
+        # NaN fails the range test too: every comparison with it is false.
+        if type(fraction) not in (int, float) or not 0 <= fraction <= 1:
+            raise SimulationError(
+                "eagle_short_fraction must be a number in [0, 1], not %r"
+                % (fraction,))
 
 
 def derived_rng(seed, *tags):

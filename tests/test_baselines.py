@@ -3,6 +3,8 @@ cancellation, the static partition, re-sampling, and bounded
 shortest-first reordering."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peacock_sim import driver
 from peacock_sim.baselines import EagleCentral, EagleWorker, SparrowWorker
@@ -165,6 +167,41 @@ def test_eagle_central_places_least_loaded():
     assert central.loads_us == {0: 50 * US, 1: 100 * US, 2: 0}
     sim.run()
     assert len([m for _, m in recorders[0].inbox if m[0] == "probe"]) == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), general=st.integers(1, 8))
+def test_eagle_central_matches_least_loaded_scan(data, general):
+    # Two thetas and finishes of placed tasks keep loads tying often.
+    sim = Simulation(SimConfig(workers=general + 2, algo="eagle"))
+    indices = list(range(2, general + 2))   # after a short partition of 2
+    eids = [Recorder(sim).eid for _ in indices]
+    central = EagleCentral(sim, eids, indices)
+    index_by_eid = dict(zip(eids, indices))
+    chosen = []
+    sim.send = lambda target, payload, now: chosen.append(index_by_eid[target])
+    loads = {i: 0 for i in indices}
+    running = []                            # (index, theta) not yet finished
+    for step in range(data.draw(st.integers(1, 40))):
+        if running and data.draw(st.booleans()):
+            widx, theta = running.pop(
+                data.draw(st.integers(0, len(running) - 1)))
+            central.handle(("long_finish", widx, theta), step)
+            loads[widx] -= theta
+        else:
+            theta = data.draw(st.sampled_from([1, 2]))
+            tasks = data.draw(st.integers(1, 3))
+            central.handle(("long_stage", ("J", step), (theta,) * tasks,
+                            theta, 0), step)
+            expected = []
+            for _ in range(tasks):
+                widx = min(loads, key=lambda i: (loads[i], i))
+                loads[widx] += theta
+                expected.append(widx)
+                running.append((widx, theta))
+            assert chosen == expected
+            chosen.clear()
+        assert central.loads_us == loads
 
 
 def test_eagle_long_stage_goes_central_short_stays_sampled():

@@ -22,7 +22,7 @@ WORKERS = 50
 
 
 def report_digest(result):
-    report = summarize(result.records, result.counters, WORKERS)
+    report = summarize(result.records, result.counters, result.workers)
     blob = json.dumps({"report": report.to_dict(),
                        "records": [r.to_dict() for r in result.records]},
                       sort_keys=True)
@@ -64,3 +64,19 @@ def test_baseline_report_digest_is_pinned(records, algo, expected):
         SimConfig(workers=WORKERS, schedulers=4, seed=1, algo=algo), records)
     assert result.counters["probes_cancelled"] > 0
     assert report_digest(result) == expected
+
+
+def test_eagle_wide_general_partition_digest_is_pinned():
+    # Light two-class load on 400 workers: every long task is placed while
+    # many of the 340 general workers tie at load zero, some of them back
+    # at zero after a long finish, so the placer's lowest-index tie-break
+    # decides each placement.
+    spec = SyntheticSpec(load=0.3, job_count=300, seed=1, mean_tasks=6.0,
+                         duration_model="two_class", short_duration_us=3 * US,
+                         long_duration_us=200 * US, short_fraction=0.8)
+    config = SimConfig(workers=400, schedulers=4, seed=1, algo="eagle")
+    records = generate(spec, config.workers)
+    assert any(s.durations_us[0] > config.eagle_long_cutoff_us
+               for r in records for s in r.stages)
+    result = driver.run_simulation(config, records)
+    assert report_digest(result) == "9d6c9d1fcf64b0cc"

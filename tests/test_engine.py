@@ -208,11 +208,24 @@ def test_event_cap_trips_on_a_fan_out():
     dict(seed=1.7),
     dict(sparrow_probe_ratio=1.5),
     dict(eagle_probe_ratio=True),
+    dict(eagle_short_fraction=-0.5),
+    dict(eagle_short_fraction=7.0),
+    dict(eagle_short_fraction=float("nan")),
+    dict(eagle_short_fraction=float("inf")),
+    dict(eagle_short_fraction=True),
+    dict(eagle_short_fraction="0.1"),
+    dict(eagle_short_fraction=None),
 ])
 def test_config_validation(bad):
     (field,) = bad
     with pytest.raises(SimulationError, match=field):
         SimConfig(**bad)
+
+
+@pytest.mark.parametrize("fraction", [0, 0.0, 0.15, 1, 1.0])
+def test_eagle_short_fraction_range_is_closed(fraction):
+    assert SimConfig(eagle_short_fraction=fraction).eagle_short_fraction \
+        == fraction
 
 
 def test_derived_rng_is_stable_and_stream_separated():
