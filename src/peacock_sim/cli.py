@@ -108,13 +108,14 @@ def write_outputs(out_dir, name, payload, records, fmt):
     os.makedirs(out_dir, exist_ok=True)
     if fmt == "json":
         path = os.path.join(out_dir, name + ".report.json")
+        # json.dumps, unlike json.dump, takes the C encoder when indent
+        # is None; the bytes are the same either way.
         with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
         jobs_path = os.path.join(out_dir, name + ".jobs.json")
         with open(jobs_path, "w") as fh:
-            json.dump([r.to_dict() for r in records], fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps([r.to_dict() for r in records],
+                                sort_keys=True) + "\n")
     else:
         path = os.path.join(out_dir, name + ".report.csv")
         flat = _flatten(payload)

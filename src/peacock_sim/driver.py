@@ -86,22 +86,17 @@ _BUILDERS = {"peacock": _build_peacock,
 def run_simulation(config, records):
     """Run one algorithm over a workload; returns a RunResult.
 
-    Jobs are assigned to schedulers round-robin (or at random, per
-    config).  Raises SimulationError if the run ends in a non-quiescent
-    state.
+    Jobs are assigned to schedulers round-robin.  Raises SimulationError
+    if the run ends in a non-quiescent state.
     """
     sim = Simulation(config)
     workers, schedulers = _BUILDERS[config.algo](sim, config)
-    assign_rng = derived_rng(config.seed, "job-assignment")
     sim.total_jobs = len(records)
     for i, record in enumerate(records):
         if record.submit_us is None:
             raise SimulationError("job %r has no submit time" % (record.job_id,))
-        if config.job_assignment == "random":
-            target = schedulers[assign_rng.randrange(len(schedulers))]
-        else:
-            target = schedulers[i % len(schedulers)]
-        sim.schedule_at(record.submit_us, target.eid, ("job", record))
+        sim.schedule_at(record.submit_us, schedulers[i % len(schedulers)].eid,
+                        ("job", record))
     sim.run()
     _check_quiescence(sim, workers, schedulers, len(records))
     sim.records.sort(key=lambda r: str(r.job_id))

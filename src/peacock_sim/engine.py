@@ -51,8 +51,6 @@ class SimConfig:
     event_cap: int = 200_000_000
     # Elastic-queue bypass rule; see probes.BYPASS_PROSE / BYPASS_LITERAL.
     bypass_rule: str = BYPASS_PROSE
-    # Job-to-scheduler assignment: "round_robin" or "random".
-    job_assignment: str = "round_robin"
     # Sparrow
     sparrow_probe_ratio: int = 2
     # Eagle (static parameters; defaults are assumptions, tune per workload)
@@ -76,18 +74,19 @@ class SimConfig:
                 raise SimulationError("%s must be at least %d, not %r"
                                       % (name, low, value))
         for name, allowed in (("algo", ("peacock", "sparrow", "eagle")),
-                              ("bypass_rule", (BYPASS_PROSE, BYPASS_LITERAL)),
-                              ("job_assignment", ("round_robin", "random"))):
+                              ("bypass_rule", (BYPASS_PROSE, BYPASS_LITERAL))):
             value = getattr(self, name)
             if value not in allowed:
                 raise SimulationError("%s must be one of %s, not %r"
                                       % (name, ", ".join(allowed), value))
         fraction = self.eagle_short_fraction
-        # NaN fails the range test too: every comparison with it is false.
-        if type(fraction) not in (int, float) or not 0 <= fraction <= 1:
+        # 0 and 1 would leave a partition empty; _build_eagle's clamp only
+        # corrects rounding on small W.  NaN fails the range test too:
+        # every comparison with it is false.
+        if type(fraction) not in (int, float) or not 0 < fraction < 1:
             raise SimulationError(
-                "eagle_short_fraction must be a number in [0, 1], not %r"
-                % (fraction,))
+                "eagle_short_fraction must be a number strictly between 0 "
+                "and 1, not %r" % (fraction,))
 
 
 def derived_rng(seed, *tags):

@@ -7,8 +7,6 @@ scheduler-wide aggregate (probe count, total estimated load) feeds the
 shared state that workers use to size their elastic queues.
 """
 
-from statistics import mean
-
 from .engine import ProtocolError, SimulationError
 from .probes import Probe, SharedState
 
@@ -28,6 +26,15 @@ def probe_quota(probe_count, workers):
     return (2 * probe_count + workers) // (2 * workers)
 
 
+def mean_us(durations):
+    """Mean of integer durations, rounded half to even as round() does."""
+    n = len(durations)
+    q, r = divmod(sum(durations), n)
+    if 2 * r > n or (2 * r == n and q & 1):
+        return q + 1
+    return q
+
+
 class JobState:
     __slots__ = ("record", "arrival_us", "thetas", "stage_remaining",
                  "remaining_deps", "dependents", "submitted", "launched",
@@ -36,8 +43,7 @@ class JobState:
     def __init__(self, record, arrival_us):
         self.record = record
         self.arrival_us = arrival_us
-        self.thetas = [int(round(mean(s.durations_us))) or 1
-                       for s in record.stages]
+        self.thetas = [mean_us(s.durations_us) or 1 for s in record.stages]
         self.stage_remaining = [len(s.durations_us) for s in record.stages]
         self.remaining_deps = [len(s.deps) for s in record.stages]
         self.dependents = [[] for _ in record.stages]

@@ -1,6 +1,7 @@
 """Command-line interface tests: both subcommands, file outputs in both
 formats, trace input, determinism of emitted artifacts, and exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -130,3 +131,36 @@ def test_console_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)[0]["jobs"] == 5
+
+
+def test_compare_out_files_are_byte_stable(tmp_path, capsys):
+    # String ids (one non-ASCII) and integer ids, DAG stages, long tasks
+    # for Eagle's central placer, and stage means that fall on a .5 tie.
+    trace = tmp_path / "jobs.jsonl"
+    save_trace([
+        TraceRecord("jöb", 0, [Stage([2 * US, 2 * US + 1]),
+                               Stage([US + 1, US + 2], deps=[0])]),
+        TraceRecord(7, 300_000, [Stage([5 * US])]),
+        TraceRecord("a\"b", 600_000, [Stage([US, 3 * US, 2 * US]),
+                                      Stage([US], deps=[0]),
+                                      Stage([4 * US + 3, 4 * US],
+                                            deps=[0, 1])]),
+        TraceRecord(12, 900_000, [Stage([US // 2] * 5)]),
+        TraceRecord("x", 1_000_000, [Stage([7 * US, 2])]),
+    ], trace)
+    out_dir = tmp_path / "out"
+    code, _ = run_cli(["compare", "--trace", str(trace), "--workers", "4",
+                       "--schedulers", "2", "--seed", "3", "--out",
+                       str(out_dir)], capsys)
+    assert code == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+               for p in sorted(out_dir.iterdir())}
+    # Computed before the jobs file moved from json.dump to json.dumps.
+    assert digests == {
+        "eagle_seed3.jobs.json": "0f022c5cafe3a4de",
+        "eagle_seed3.report.json": "61f8230bda0679fd",
+        "peacock_seed3.jobs.json": "d3b0224acfd38cdb",
+        "peacock_seed3.report.json": "d6e7f157f7fbe5b5",
+        "sparrow_seed3.jobs.json": "7b6ab3f4fd51bc97",
+        "sparrow_seed3.report.json": "5a9da18ef8349686",
+    }

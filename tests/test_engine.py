@@ -194,7 +194,6 @@ def test_event_cap_trips_on_a_fan_out():
     dict(net_delay_us=-1),
     dict(algo="fifo"),
     dict(bypass_rule="prosee"),
-    dict(job_assignment="rand"),
     dict(workers=True),
     dict(schedulers=2.0),
     dict(rotation_interval_us=1.5e6),
@@ -215,6 +214,10 @@ def test_event_cap_trips_on_a_fan_out():
     dict(eagle_short_fraction=True),
     dict(eagle_short_fraction="0.1"),
     dict(eagle_short_fraction=None),
+    dict(eagle_short_fraction=0),
+    dict(eagle_short_fraction=0.0),
+    dict(eagle_short_fraction=1),
+    dict(eagle_short_fraction=1.0),
 ])
 def test_config_validation(bad):
     (field,) = bad
@@ -222,8 +225,10 @@ def test_config_validation(bad):
         SimConfig(**bad)
 
 
-@pytest.mark.parametrize("fraction", [0, 0.0, 0.15, 1, 1.0])
+@pytest.mark.parametrize("fraction", [1e-9, 0.15, 0.5, 0.999999999])
 def test_eagle_short_fraction_range_is_closed(fraction):
+    # Only interior values pass; 0 and 1, which would leave one Eagle
+    # partition empty, are rejected in test_config_validation.
     assert SimConfig(eagle_short_fraction=fraction).eagle_short_fraction \
         == fraction
 

@@ -1,12 +1,16 @@
 """Scheduler tests: quota arithmetic, aggregate accounting, peer updates,
 probe placement, dispatch exactly-once, and DAG stage ordering."""
 
+import statistics
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peacock_sim.engine import (ProtocolError, SimConfig, Simulation,
                                 SimulationError, derived_rng)
-from peacock_sim.scheduler import JobState, PeacockScheduler, pick_workers, \
-    probe_quota
+from peacock_sim.scheduler import JobState, PeacockScheduler, mean_us, \
+    pick_workers, probe_quota
 from peacock_sim.workload import Stage, TraceRecord
 
 US = 1_000_000
@@ -237,3 +241,20 @@ def test_job_state_diamond_readiness():
 def test_theta_is_rounded_stage_mean():
     js = JobState(job("j", [10, 20, 31]), 0)
     assert js.thetas == [int(round((10 + 20 + 31) * US / 3))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 4) | st.integers(1, 10 ** 9), min_size=1,
+                max_size=12))
+def test_stage_mean_matches_rounded_statistics_mean(durations):
+    assert mean_us(durations) == int(round(statistics.mean(durations)))
+
+
+@pytest.mark.parametrize("durations, expected", [
+    ([1, 2], 2), ([2, 3], 2), ([1, 2, 2, 2], 2), ([1, 1, 2], 1),
+    ([US, US + 1], US), ([US + 1, US + 2], US + 2),
+])
+def test_stage_mean_rounds_ties_to_even(durations, expected):
+    assert mean_us(durations) == expected
+    assert JobState(TraceRecord("j", 0, [Stage(durations)]), 0).thetas \
+        == [expected]

@@ -1,0 +1,72 @@
+"""Whole-system property fuzz: all three algorithms on tiny random systems
+with small DAG traces.
+
+Each run must launch and finish every task exactly once, keep workers
+busy for exactly the offered work, finish no job faster than its critical
+path, raise no SimulationError or ProtocolError (the driver also checks
+quiescence before it returns), and serialize to the same bytes when run
+again.
+"""
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from peacock_sim.driver import run_simulation
+from peacock_sim.engine import SimConfig
+from peacock_sim.metrics import summarize
+from peacock_sim.workload import Stage, TraceRecord
+
+US = 1_000_000
+
+
+@st.composite
+def stages(draw):
+    count = draw(st.integers(1, 3))
+    return [Stage(draw(st.lists(st.integers(1, 5 * US), min_size=1,
+                                max_size=3)),
+                  sorted(draw(st.sets(st.integers(0, i - 1), max_size=i)))
+                  if i else [])
+            for i in range(count)]
+
+
+@st.composite
+def systems(draw):
+    interval = draw(st.integers(US // 10, 2 * US))
+    config = dict(workers=draw(st.integers(1, 6)),
+                  schedulers=draw(st.integers(1, 4)),
+                  rotation_interval_us=interval,
+                  net_delay_us=draw(st.integers(0, interval)),
+                  seed=draw(st.integers(0, 2 ** 16)),
+                  eagle_short_fraction=draw(st.floats(0.05, 0.95)))
+    jobs = [TraceRecord(i, draw(st.integers(0, 10 * US)), draw(stages()))
+            for i in range(draw(st.integers(1, 6)))]
+    return config, jobs
+
+
+def serialized(result):
+    report = summarize(result.records, result.counters, result.workers)
+    return json.dumps({"report": report.to_dict(),
+                       "records": [r.to_dict() for r in result.records]},
+                      sort_keys=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems())
+def test_tiny_systems_conserve_work_and_respect_critical_paths(system):
+    config, jobs = system
+    tasks = sum(j.task_count for j in jobs)
+    work = sum(j.total_work_us for j in jobs)
+    paths = {j.job_id: j.critical_path_us() for j in jobs}
+    for algo in ("peacock", "sparrow", "eagle"):
+        result = run_simulation(SimConfig(algo=algo, **config), jobs)
+        counters = result.counters
+        assert counters["tasks_launched"] == counters["tasks_finished"] \
+            == tasks, algo
+        assert counters["busy_us"] == work, algo
+        assert sorted(r.job_id for r in result.records) == sorted(paths)
+        for r in result.records:
+            assert r.jct_us >= paths[r.job_id], (algo, r)
+        again = run_simulation(SimConfig(algo=algo, **config), jobs)
+        assert serialized(again) == serialized(result), algo
