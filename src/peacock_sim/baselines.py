@@ -1,111 +1,35 @@
-"""Sparrow and Eagle baseline schedulers, sharing the same event engine,
-workload format, and metrics as the primary scheduler.
+"""Sparrow and Eagle baselines on the slot machine (``worker.SlotWorker``)
+and scheduler protocol (``scheduler.Scheduler``) that Peacock also runs.
+Both bind late: a probe that reaches a slot takes whichever task of its
+stage is still unlaunched, and the scheduler cancels surplus probes.
 
 Sparrow: batch sampling (probe_ratio probes per task to random workers)
-with late binding -- a worker fetches the actual task only when a probe
-reaches its slot, and surplus probes are cancelled.
+and a FIFO worker queue.
 
-Eagle: a static long/short job split.  A centralized placer puts each long
+Eagle: a static long/short job split.  A stage whose mean task estimate
+is above the long cutoff is long.  A centralized placer puts each long
 task on the least-loaded worker of the general partition (lowest index on
-ties), kept in a heap of (load, index); short jobs use batch sampling over
-all workers, a short probe landing on a worker with long work is
-re-sampled once into the short-only partition, and worker queues reorder
-shortest-estimate-first under a starvation bound.
+ties), kept in a heap of (load, index); the task is bound to its probe.
+Short stages are sampled as in Sparrow, a short probe landing on a worker
+with long work is re-sampled once into the short-only partition, and
+worker queues reorder shortest-estimate-first under a starvation bound.
 """
 
 import heapq
 from collections import deque
 
 from .engine import ProtocolError
-from .metrics import JobRecord
 from .probes import Probe
-from .scheduler import JobState, pick_workers
-from .worker import IDLE, RESERVED, RUNNING
+from .scheduler import Scheduler, pick_workers
+from .worker import IDLE, SlotWorker
 
 
-class _BaselineWorker:
-    """Shared slot machinery: reserve/request, assign, complete, cancel."""
-
-    def __init__(self, sim, index):
-        self.sim = sim
-        self.index = index
-        self.eid = sim.add_entity(self)
-        self.slot = IDLE
-        self.reserved_probe = None
-        self.running_probe = None
-        self.running_duration_us = 0
-        self.finish_us = 0
-        self.assigned_task = None
-
-    def _reserve(self, probe, now):
-        self.slot = RESERVED
-        self.reserved_probe = probe
-        self.sim.send(probe.scheduler, ("task_request", probe, self.eid), now)
-
-    def _next_or_idle(self, now):
-        head = self._pop_queue()
-        if head is not None:
-            self._reserve(head, now)
-        else:
-            self.slot = IDLE
-
-    def on_task_assign(self, probe_key, task_id, duration_us, now):
-        if self.slot != RESERVED or self.reserved_probe.key != probe_key:
-            raise ProtocolError(
-                "worker %d: assignment without matching reservation"
-                % self.index)
-        probe = self.reserved_probe
-        self.reserved_probe = None
-        self.slot = RUNNING
-        self.running_probe = probe
-        self.assigned_task = (probe.job_id, task_id)
-        self.running_duration_us = duration_us
-        self.finish_us = now + duration_us
-        self.sim.schedule_at(self.finish_us, self.eid, ("complete",))
-
-    def on_task_cancel(self, probe_key, now):
-        if self.slot != RESERVED or self.reserved_probe.key != probe_key:
-            raise ProtocolError(
-                "worker %d: cancel without matching reservation" % self.index)
-        self.reserved_probe = None
-        self._next_or_idle(now)
-
-    def on_task_complete(self, now):
-        probe = self.running_probe
-        self.running_probe = None
-        job_id, task_id = self.assigned_task
-        self.sim.counters["tasks_finished"] += 1
-        self.sim.counters["busy_us"] += self.running_duration_us
-        self.sim.last_completion_us = max(self.sim.last_completion_us, now)
-        self.sim.send(probe.scheduler,
-                      ("task_finish", job_id, task_id, now), now)
-        self._finished(probe)
-        self._next_or_idle(now)
-
-    def _finished(self, probe):
-        pass
-
-
-class SparrowWorker(_BaselineWorker):
+class SparrowWorker(SlotWorker):
     """Plain FIFO queue, no rotation, no shared state."""
 
     def __init__(self, sim, index):
         super().__init__(sim, index)
         self.queue = deque()
-
-    def handle(self, payload, now):
-        kind = payload[0]
-        if kind == "probe":
-            self.on_probe_arrival(payload[1], now)
-        elif kind == "assign":
-            _, probe_key, task_id, duration_us = payload
-            self.on_task_assign(probe_key, task_id, duration_us, now)
-        elif kind == "cancel":
-            self.on_task_cancel(payload[1], now)
-        elif kind == "complete":
-            self.on_task_complete(now)
-        else:
-            raise ProtocolError("sparrow worker: unknown payload %r" % kind)
 
     def on_probe_arrival(self, probe, now):
         if self.slot == IDLE and not self.queue:
@@ -117,36 +41,25 @@ class SparrowWorker(_BaselineWorker):
         return self.queue.popleft() if self.queue else None
 
 
-class EagleWorker(_BaselineWorker):
+class EagleWorker(SlotWorker):
     """Shortest-estimate-first queue with a starvation bound, plus the
-    re-sample-once rule for short probes meeting long work."""
+    re-sample-once rule for short probes meeting long work.  A probe is
+    long when its runtime estimate is above ``long_cutoff_us``, the test
+    that sent its stage to the central placer."""
 
     def __init__(self, sim, index, partition, short_worker_eids, rng,
-                 srpt_bound_us):
+                 srpt_bound_us, long_cutoff_us):
         super().__init__(sim, index)
         self.partition = partition          # "short" or "general"
         self.short_worker_eids = short_worker_eids
         self.rng = rng
         self.srpt_bound_us = srpt_bound_us
+        self.long_cutoff_us = long_cutoff_us
         self.queue = []
         self.long_count = 0                 # long probes queued or running
 
-    def handle(self, payload, now):
-        kind = payload[0]
-        if kind == "probe":
-            self.on_probe_arrival(payload[1], now)
-        elif kind == "assign":
-            _, probe_key, task_id, duration_us = payload
-            self.on_task_assign(probe_key, task_id, duration_us, now)
-        elif kind == "cancel":
-            self.on_task_cancel(payload[1], now)
-        elif kind == "complete":
-            self.on_task_complete(now)
-        else:
-            raise ProtocolError("eagle worker: unknown payload %r" % kind)
-
     def on_probe_arrival(self, probe, now):
-        if probe.is_long:
+        if probe.runtime_us > self.long_cutoff_us:
             if self.partition == "short":
                 raise ProtocolError(
                     "long probe reached short-partition worker %d" % self.index)
@@ -179,12 +92,11 @@ class EagleWorker(_BaselineWorker):
     def _pop_queue(self):
         return self.queue.pop(0) if self.queue else None
 
-    def _finished(self, probe):
-        if probe.is_long:
+    def _finished(self, probe, now):
+        if probe.runtime_us > self.long_cutoff_us:
             self.long_count -= 1
             self.sim.send(self.central_eid,
-                          ("long_finish", self.index, probe.runtime_us),
-                          self.sim.now)
+                          ("long_finish", self.index, probe.runtime_us), now)
 
 
 class EagleCentral:
@@ -233,117 +145,58 @@ class EagleCentral:
             heapq.heapreplace(heap, (load, widx))
             probe = Probe(job_id=job_key, task_id=task_id, arrival_us=now,
                           runtime_us=theta, allowance_us=0,
-                          scheduler=scheduler_eid, is_long=True)
+                          scheduler=scheduler_eid)
             self.sim.send(self.eid_by_index[widx], ("probe", probe), now)
 
 
-class _BaselineScheduler:
-    """Late-binding pool: probes of a stage map to whichever of that
-    stage's tasks are still unlaunched when they reach a slot."""
+class SparrowScheduler(Scheduler):
+    """Batch sampling with late binding."""
 
-    def __init__(self, sim, sid, worker_eids, rng):
-        self.sim = sim
-        self.sid = sid
-        self.eid = sim.add_entity(self)
-        self.worker_eids = worker_eids
-        self.rng = rng
-        self.jobs = {}
-
-    def handle(self, payload, now):
-        kind = payload[0]
-        if kind == "job":
-            self.on_job_arrival(payload[1], now)
-        elif kind == "task_request":
-            _, probe, worker_eid = payload
-            self.on_task_request(probe, worker_eid, now)
-        elif kind == "task_finish":
-            _, job_key, task_id, finish_us = payload
-            self.on_task_finish(job_key, task_id, finish_us, now)
-        else:
-            raise ProtocolError("scheduler %d: unknown payload %r"
-                                % (self.sid, kind))
-
-    def on_job_arrival(self, record, now):
-        job = JobState(record, now)
-        self.jobs[record.job_id] = job
-        for i, stage in enumerate(record.stages):
-            if not stage.deps:
-                self.submit_stage(job, i, now)
-
-    def on_task_request(self, probe, worker_eid, now):
-        job_id, stage_idx = probe.job_id
-        job = self.jobs[job_id]
-        if probe.is_long:
-            # Fixed binding for centrally placed long tasks.
-            task_id = probe.task_id
-            if (stage_idx, task_id) in job.launched:
-                raise ProtocolError("long task launched twice")
-        else:
-            durations = job.record.stages[stage_idx].durations_us
-            if job.pool_next[stage_idx] >= len(durations):
-                self.sim.counters["probes_cancelled"] += 1
-                self.sim.send(worker_eid, ("cancel", probe.key), now)
-                return
-            task_id = job.pool_next[stage_idx]
-            job.pool_next[stage_idx] += 1
-        job.launched.add((stage_idx, task_id))
-        job.rotations.append(probe.rotations)
-        self.sim.counters["tasks_launched"] += 1
-        duration = job.record.stages[stage_idx].durations_us[task_id]
-        self.sim.send(worker_eid,
-                      ("assign", probe.key, task_id, duration), now)
-
-    def on_task_finish(self, job_key, task_id, finish_us, now):
-        job_id, stage_idx = job_key
-        job = self.jobs[job_id]
-        for ready in job.task_finished(stage_idx, task_id, finish_us):
-            self.submit_stage(job, ready, now)
-        if job.done:
-            self.sim.records.append(JobRecord(
-                job_id=job_id, scheduler=self.sid,
-                arrival_us=job.arrival_us, completion_us=job.completion_us,
-                rotations=list(job.rotations)))
-            self.sim.jobs_done += 1
-
-    def _submit_sampled(self, job, stage_idx, now, ratio, theta):
-        n = len(job.record.stages[stage_idx].durations_us)
-        count = ratio * n
-        targets = pick_workers(self.rng, len(self.worker_eids), count)
-        self.sim.counters["probes_created"] += count
-        for i, widx in enumerate(targets):
-            probe = Probe(job_id=(job.record.job_id, stage_idx),
-                          task_id=("probe", i), arrival_us=now,
-                          runtime_us=theta, allowance_us=0,
-                          scheduler=self.eid)
-            self.sim.send(self.worker_eids[widx], ("probe", probe), now)
-
-
-class SparrowScheduler(_BaselineScheduler):
     def __init__(self, sim, sid, worker_eids, rng, probe_ratio):
         super().__init__(sim, sid, worker_eids, rng)
         self.probe_ratio = probe_ratio
 
     def submit_stage(self, job, stage_idx, now):
-        job.submitted[stage_idx] = True
-        self._submit_sampled(job, stage_idx, now, self.probe_ratio,
-                             job.thetas[stage_idx])
+        n = len(job.record.stages[stage_idx].durations_us)
+        count = self.probe_ratio * n
+        targets = pick_workers(self.rng, len(self.worker_eids), count)
+        self.sim.counters["probes_created"] += count
+        for i, widx in enumerate(targets):
+            probe = Probe(job_id=(job.record.job_id, stage_idx),
+                          task_id=("probe", i), arrival_us=now,
+                          runtime_us=job.thetas[stage_idx], allowance_us=0,
+                          scheduler=self.eid)
+            self.sim.send(self.worker_eids[widx], ("probe", probe), now)
+
+    def bind(self, job, stage_idx, probe):
+        task_id = job.pool_next[stage_idx]
+        if task_id >= len(job.record.stages[stage_idx].durations_us):
+            return None
+        job.pool_next[stage_idx] += 1
+        return task_id
 
 
-class EagleScheduler(_BaselineScheduler):
+class EagleScheduler(SparrowScheduler):
+    """Long stages go to the central placer; short ones are sampled and
+    bound late as in Sparrow."""
+
     def __init__(self, sim, sid, worker_eids, rng, probe_ratio,
                  long_cutoff_us, central_eid):
-        super().__init__(sim, sid, worker_eids, rng)
-        self.probe_ratio = probe_ratio
+        super().__init__(sim, sid, worker_eids, rng, probe_ratio)
         self.long_cutoff_us = long_cutoff_us
         self.central_eid = central_eid
 
     def submit_stage(self, job, stage_idx, now):
-        job.submitted[stage_idx] = True
         theta = job.thetas[stage_idx]
-        durations = job.record.stages[stage_idx].durations_us
         if theta > self.long_cutoff_us:
             self.sim.send(self.central_eid,
                           ("long_stage", (job.record.job_id, stage_idx),
-                           tuple(durations), theta, self.eid), now)
+                           tuple(job.record.stages[stage_idx].durations_us),
+                           theta, self.eid), now)
         else:
-            self._submit_sampled(job, stage_idx, now, self.probe_ratio, theta)
+            super().submit_stage(job, stage_idx, now)
+
+    def bind(self, job, stage_idx, probe):
+        if probe.runtime_us > self.long_cutoff_us:
+            return probe.task_id            # placed centrally, bound already
+        return super().bind(job, stage_idx, probe)

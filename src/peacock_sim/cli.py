@@ -4,18 +4,46 @@ shared workload, writing machine-readable reports and per-job records."""
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
 from .driver import run_simulation
 from .engine import SimConfig, SimulationError, US_PER_S, derived_rng
-from .metrics import EMPTY_REPORT, fraction_faster, summarize
+from .metrics import fraction_faster, summarize
 from .workload import (SyntheticSpec, TraceError, generate, load_trace,
                        mean_interarrival_us)
 
 REPORT_SCHEMA = "peacock-report-1"
 
 ALGOS = ("peacock", "sparrow", "eagle")
+
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, not %d" % value)
+    return value
+
+
+def positive_float(text):
+    value = float(text)
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            "must be a positive finite number, not %s" % text)
+    return value
+
+
+def algo_list(text):
+    algos = [a.strip() for a in text.split(",") if a.strip()]
+    for algo in algos:
+        if algo not in ALGOS:
+            raise argparse.ArgumentTypeError(
+                "unknown algorithm %r (choose from %s)"
+                % (algo, ", ".join(ALGOS)))
+    if not algos:
+        raise argparse.ArgumentTypeError("no algorithm given")
+    return algos
 
 
 def build_parser():
@@ -27,11 +55,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--workers", type=int, default=100)
+        p.add_argument("--workers", type=positive_int, default=100)
         p.add_argument("--schedulers", type=int, default=1)
-        p.add_argument("--load", type=float, default=0.8,
+        p.add_argument("--load", type=positive_float, default=0.8,
                        help="target offered load for synthetic workloads")
-        p.add_argument("--jobs", type=int, default=1000,
+        p.add_argument("--jobs", type=positive_int, default=1000,
                        help="synthetic job count (ignored with --trace)")
         p.add_argument("--trace", help="trace file (JSON lines, .gz ok)")
         p.add_argument("--duration-model", choices=("lognormal", "two_class"),
@@ -41,7 +69,7 @@ def build_parser():
         p.add_argument("--net-delay", type=float, default=0.005,
                        help="network delay in seconds")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--seeds", type=int, default=1,
+        p.add_argument("--seeds", type=positive_int, default=1,
                        help="number of seeds to sweep (seed, seed+1, ...)")
         p.add_argument("--out", help="output directory (default: stdout only)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -52,7 +80,8 @@ def build_parser():
 
     cmp_p = sub.add_parser("compare",
                            help="run several algorithms on one workload")
-    cmp_p.add_argument("--algos", default="peacock,sparrow,eagle",
+    cmp_p.add_argument("--algos", type=algo_list,
+                       default="peacock,sparrow,eagle",
                        help="comma-separated algorithm list")
     common(cmp_p)
     return parser
@@ -97,7 +126,7 @@ def make_workload(args, seed):
 
 def report_payload(result):
     report = summarize(result.records, result.counters, result.workers)
-    if report is EMPTY_REPORT:
+    if report is None:
         return {"schema": REPORT_SCHEMA, "empty": True}
     payload = {"schema": REPORT_SCHEMA, "empty": False}
     payload.update(report.to_dict())
@@ -167,10 +196,7 @@ def cmd_run(args):
 
 
 def cmd_compare(args):
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    for algo in algos:
-        if algo not in ALGOS:
-            raise SystemExit(2)
+    algos = args.algos
     output = []
     for k in range(args.seeds):
         seed = args.seed + k

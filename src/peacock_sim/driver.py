@@ -60,14 +60,14 @@ def _build_eagle(sim, config):
         workers.append(EagleWorker(
             sim, i, partition, short_worker_eids=None,
             rng=derived_rng(config.seed, "eagle-worker", i),
-            srpt_bound_us=config.eagle_srpt_bound_us))
+            srpt_bound_us=config.eagle_srpt_bound_us,
+            long_cutoff_us=config.eagle_long_cutoff_us))
     worker_eids = [w.eid for w in workers]
     short_eids = [worker_eids[i] for i in short_indices] or worker_eids
     for w in workers:
         w.short_worker_eids = short_eids
-    central = EagleCentral(sim,
-                           [worker_eids[i] for i in general_indices] or worker_eids,
-                           general_indices or list(range(W)))
+    central = EagleCentral(sim, [worker_eids[i] for i in general_indices],
+                           general_indices)
     for w in workers:
         w.central_eid = central.eid
     schedulers = [EagleScheduler(sim, s, worker_eids,
@@ -110,16 +110,14 @@ def _check_quiescence(sim, workers, schedulers, total_jobs):
         raise SimulationError("run ended with %d of %d jobs incomplete"
                               % (total_jobs - sim.jobs_done, total_jobs))
     for s in schedulers:
-        if getattr(s, "probe_count", 0) != 0 or getattr(s, "load_us", 0) != 0:
+        if isinstance(s, PeacockScheduler) and (s.probe_count or s.load_us):
             raise SimulationError(
                 "scheduler %d aggregate not drained: (%d, %d)"
                 % (s.sid, s.probe_count, s.load_us))
     for w in workers:
         if w.slot != IDLE:
             raise SimulationError("worker %d not idle at quiescence" % w.index)
-        queue = w.queue
-        entries = queue.entries if hasattr(queue, "entries") else queue
-        if len(entries) or getattr(queue, "rotating", None):
+        if len(w.queue) or (isinstance(w, PeacockWorker) and w.queue.rotating):
             raise SimulationError("worker %d still holds probes" % w.index)
     if sim.counters["tasks_launched"] != sim.counters["tasks_finished"]:
         raise SimulationError("launch/finish mismatch")

@@ -20,8 +20,6 @@ import heapq
 import random
 from dataclasses import dataclass
 
-from .probes import BYPASS_LITERAL, BYPASS_PROSE
-
 US_PER_S = 1_000_000
 
 
@@ -49,8 +47,6 @@ class SimConfig:
     seed: int = 0
     algo: str = "peacock"
     event_cap: int = 200_000_000
-    # Elastic-queue bypass rule; see probes.BYPASS_PROSE / BYPASS_LITERAL.
-    bypass_rule: str = BYPASS_PROSE
     # Sparrow
     sparrow_probe_ratio: int = 2
     # Eagle (static parameters; defaults are assumptions, tune per workload)
@@ -73,12 +69,10 @@ class SimConfig:
             if value < low:
                 raise SimulationError("%s must be at least %d, not %r"
                                       % (name, low, value))
-        for name, allowed in (("algo", ("peacock", "sparrow", "eagle")),
-                              ("bypass_rule", (BYPASS_PROSE, BYPASS_LITERAL))):
-            value = getattr(self, name)
-            if value not in allowed:
-                raise SimulationError("%s must be one of %s, not %r"
-                                      % (name, ", ".join(allowed), value))
+        algos = ("peacock", "sparrow", "eagle")
+        if self.algo not in algos:
+            raise SimulationError("algo must be one of %s, not %r"
+                                  % (", ".join(algos), self.algo))
         fraction = self.eagle_short_fraction
         # 0 and 1 would leave a partition empty; _build_eagle's clamp only
         # corrects rounding on small W.  NaN fails the range test too:

@@ -52,10 +52,6 @@ class Report:
         }
 
 
-#: Marker returned for a run that produced no job records.
-EMPTY_REPORT = "empty-run"
-
-
 def percentile(sorted_values, q):
     """Linear-interpolation percentile of a pre-sorted list, q in [0, 100]."""
     if not sorted_values:
@@ -72,10 +68,10 @@ def percentile(sorted_values, q):
 def summarize(records, counters, workers, cdf_points=100):
     """Aggregate job records and run counters into a Report.
 
-    Returns EMPTY_REPORT when there are no records.
+    Returns None when there are no records.
     """
     if not records:
-        return EMPTY_REPORT
+        return None
     jcts = sorted(r.jct_us / US_PER_S for r in records)
     ajct = sum(jcts) / len(jcts)
     pcts = {q: percentile(jcts, q) for q in (50, 70, 90, 99)}

@@ -51,11 +51,11 @@ class Probe:
     __slots__ = (
         "job_id", "task_id", "arrival_us", "runtime_us", "allowance_us",
         "deadline_us", "key", "rotations", "scheduler",
-        "is_long", "resampled", "enqueued_us",
+        "resampled", "enqueued_us",
     )
 
     def __init__(self, job_id, task_id, arrival_us, runtime_us, allowance_us,
-                 scheduler=None, is_long=False):
+                 scheduler=None):
         if runtime_us <= 0:
             raise InvalidProbeError("probe runtime estimate must be positive")
         if allowance_us < 0:
@@ -69,8 +69,7 @@ class Probe:
         self.key = (job_id, task_id)
         self.rotations = 0
         self.scheduler = scheduler
-        # Baseline-only bookkeeping (Eagle re-sampling, SRPT ordering).
-        self.is_long = is_long
+        # Eagle-only bookkeeping (re-sampling, SRPT ordering).
         self.resampled = False
         self.enqueued_us = 0
 
@@ -82,12 +81,6 @@ class Probe:
 
 INSERTED = "inserted"
 ROTATED = "rotated"
-
-#: Bypass-test strategies for a later-arrived probe passing an earlier one.
-#: "prose" keeps the waiting probe inside its deadline; "literal" only lets
-#: probes pass entries whose deadline already expired.
-BYPASS_PROSE = "prose"
-BYPASS_LITERAL = "literal"
 
 
 class WaitingQueue:
@@ -109,8 +102,7 @@ class WaitingQueue:
     def __len__(self):
         return len(self.entries)
 
-    def enqueue(self, probe, now_us, running_remaining_us, state,
-                bypass_rule=BYPASS_PROSE):
+    def enqueue(self, probe, now_us, running_remaining_us, state):
         """Insert ``probe`` by the reordering rules, then trim to quota.
 
         ``running_remaining_us`` is the remaining runtime of the task
@@ -132,19 +124,10 @@ class WaitingQueue:
             if probe.arrival_us >= q.arrival_us:
                 # Later-scheduled probe: may pass q only if it is shorter
                 # and q stays within its deadline.
-                if bypass_rule == BYPASS_PROSE:
-                    can_pass = (
-                        probe.runtime_us <= q.runtime_us
+                if (probe.runtime_us <= q.runtime_us
                         and now_us < q.deadline_us
-                        and now_us + (wait_us - q.runtime_us + probe.runtime_us)
-                        <= q.deadline_us
-                    )
-                else:
-                    can_pass = (
-                        probe.runtime_us <= q.runtime_us
-                        and q.deadline_us + probe.runtime_us <= now_us
-                    )
-                if can_pass:
+                        and now_us + (wait_us - q.runtime_us
+                                      + probe.runtime_us) <= q.deadline_us):
                     wait_us -= q.runtime_us
                     continue
                 outcome, position = self.place_or_rotate(

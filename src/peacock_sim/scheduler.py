@@ -1,13 +1,22 @@
-"""Scheduler state machine: job admission, probe placement, aggregate
-load accounting, peer updates, and task dispatch.
+"""Scheduler state machines.
 
-Each stage of a job DAG is scheduled as an independent unit: one probe per
-task, bound to its task at admission, sent to randomly drawn workers.  The
-scheduler-wide aggregate (probe count, total estimated load) feeds the
+Every algorithm's scheduler runs one protocol, kept once in ``Scheduler``:
+it admits a job's dependency-free stages on ``job``; on ``task_request``
+it binds the requesting probe to a task and sends ``assign``, or
+``cancel`` when the probe's stage has no task left; on ``task_finish`` it
+admits the stages that became ready and, after the job's last task,
+records the job.  Each stage of a job DAG is scheduled as an independent
+unit.  Each algorithm adds only where a stage's probes go and how a probe
+is bound to its task.
+
+``PeacockScheduler`` sends one probe per task, bound to its task at
+admission, to randomly drawn workers.  Its scheduler-wide aggregate (probe
+count, total estimated load) is kept in step with its peers and feeds the
 shared state that workers use to size their elastic queues.
 """
 
 from .engine import ProtocolError, SimulationError
+from .metrics import JobRecord
 from .probes import Probe, SharedState
 
 
@@ -37,7 +46,7 @@ def mean_us(durations):
 
 class JobState:
     __slots__ = ("record", "arrival_us", "thetas", "stage_remaining",
-                 "remaining_deps", "dependents", "submitted", "launched",
+                 "remaining_deps", "dependents", "launched",
                  "rotations", "tasks_left", "completion_us", "pool_next")
 
     def __init__(self, record, arrival_us):
@@ -50,7 +59,6 @@ class JobState:
         for i, stage in enumerate(record.stages):
             for d in stage.deps:
                 self.dependents[d].append(i)
-        self.submitted = [False] * len(record.stages)
         self.launched = set()
         self.rotations = []
         self.tasks_left = record.task_count
@@ -74,7 +82,7 @@ class JobState:
         if self.stage_remaining[stage_idx] == 0:
             for dep in self.dependents[stage_idx]:
                 self.remaining_deps[dep] -= 1
-                if self.remaining_deps[dep] == 0 and not self.submitted[dep]:
+                if self.remaining_deps[dep] == 0:
                     ready.append(dep)
         return ready
 
@@ -83,21 +91,18 @@ class JobState:
         return self.tasks_left == 0
 
 
-class PeacockScheduler:
-    """One of a few equal schedulers; owns the full life cycle of its jobs."""
+class Scheduler:
+    """The protocol shared by every algorithm.  Subclasses define
+    ``submit_stage``, which sends a stage's probes, and may override
+    ``bind``, ``release`` and ``assignment``."""
 
     def __init__(self, sim, sid, worker_eids, rng):
         self.sim = sim
         self.sid = sid
         self.eid = sim.add_entity(self)
         self.worker_eids = worker_eids
-        self.peer_eids = []
         self.rng = rng
-        self.probe_count = 0
-        self.load_us = 0
         self.jobs = {}
-
-    # -- event dispatch -----------------------------------------------------
 
     def handle(self, payload, now):
         kind = payload[0]
@@ -107,14 +112,87 @@ class PeacockScheduler:
             _, probe, worker_eid = payload
             self.on_task_request(probe, worker_eid, now)
         elif kind == "task_finish":
-            _, job_id, task_id, finish_us = payload
-            self.on_task_finish(job_id, task_id, finish_us, now)
-        elif kind == "peer":
-            _, dcount, dload = payload
-            self.on_peer_update(dcount, dload)
+            _, job_key, task_id, finish_us = payload
+            self.on_task_finish(job_key, task_id, finish_us, now)
         else:
             raise ProtocolError("scheduler %d: unknown payload %r"
                                 % (self.sid, kind))
+
+    def on_job_arrival(self, record, now):
+        if not record.stages or any(not s.durations_us for s in record.stages):
+            raise SimulationError("rejecting empty job %r" % (record.job_id,))
+        job = JobState(record, now)
+        self.jobs[record.job_id] = job
+        for i, stage in enumerate(record.stages):
+            if not stage.deps:
+                self.submit_stage(job, i, now)
+
+    def on_task_request(self, probe, worker_eid, now):
+        job_id, stage_idx = probe.job_id
+        job = self.jobs.get(job_id)
+        if job is None:
+            raise ProtocolError("task request for unknown job %r" % (job_id,))
+        task_id = self.bind(job, stage_idx, probe)
+        if task_id is None:
+            self.sim.counters["probes_cancelled"] += 1
+            self.sim.send(worker_eid, ("cancel", probe.key), now)
+            return
+        key = (stage_idx, task_id)
+        if key in job.launched:
+            raise ProtocolError("task %r of job %r already launched"
+                                % (key, job_id))
+        job.launched.add(key)
+        job.rotations.append(probe.rotations)
+        self.sim.counters["tasks_launched"] += 1
+        duration = job.record.stages[stage_idx].durations_us[task_id]
+        self.sim.send(worker_eid,
+                      self.assignment(probe, task_id, duration, now), now)
+
+    def bind(self, job, stage_idx, probe):
+        """The task ``probe`` launches, or None to cancel it; by default
+        the task it was bound to at admission."""
+        return probe.task_id
+
+    def assignment(self, probe, task_id, duration_us, now):
+        """The ``assign`` payload that launches ``task_id`` for ``probe``."""
+        return ("assign", probe.key, task_id, duration_us)
+
+    def on_task_finish(self, job_key, task_id, finish_us, now):
+        job_id, stage_idx = job_key
+        job = self.jobs.get(job_id)
+        if job is None:
+            raise ProtocolError("finish for unknown job %r" % (job_id,))
+        self.release(job, stage_idx, now)
+        for ready in job.task_finished(stage_idx, task_id, finish_us):
+            self.submit_stage(job, ready, now)
+        if job.done:
+            self.sim.records.append(JobRecord(
+                job_id=job_id, scheduler=self.sid,
+                arrival_us=job.arrival_us, completion_us=job.completion_us,
+                rotations=list(job.rotations)))
+            self.sim.jobs_done += 1
+
+    def release(self, job, stage_idx, now):
+        """Runs for each finished task of ``stage_idx``, before the stages
+        it makes ready are submitted."""
+
+
+class PeacockScheduler(Scheduler):
+    """One of a few equal schedulers; owns the full life cycle of its jobs
+    and keeps the scheduler-wide aggregate in step with its peers."""
+
+    def __init__(self, sim, sid, worker_eids, rng):
+        super().__init__(sim, sid, worker_eids, rng)
+        self.peer_eids = []
+        self.probe_count = 0
+        self.load_us = 0
+
+    def handle(self, payload, now):
+        if payload[0] == "peer":
+            _, dcount, dload = payload
+            self.on_peer_update(dcount, dload)
+        else:
+            super().handle(payload, now)
 
     # -- shared state -------------------------------------------------------
 
@@ -140,19 +218,14 @@ class PeacockScheduler:
             self.load_us = max(0, self.load_us)
             self.sim.counters["aggregate_clamps"] += 1
 
-    # -- job admission ------------------------------------------------------
+    def release(self, job, stage_idx, now):
+        theta = job.thetas[stage_idx]
+        self.on_peer_update(-1, -theta)
+        self.broadcast_peer(-1, -theta, now)
 
-    def on_job_arrival(self, record, now):
-        if not record.stages or any(not s.durations_us for s in record.stages):
-            raise SimulationError("rejecting empty job %r" % (record.job_id,))
-        job = JobState(record, now)
-        self.jobs[record.job_id] = job
-        for i, stage in enumerate(record.stages):
-            if not stage.deps:
-                self.submit_stage(job, i, now)
+    # -- probe placement ----------------------------------------------------
 
     def submit_stage(self, job, stage_idx, now):
-        job.submitted[stage_idx] = True
         durations = job.record.stages[stage_idx].durations_us
         n = len(durations)
         theta = job.thetas[stage_idx]
@@ -168,45 +241,8 @@ class PeacockScheduler:
                           task_id=task_id, arrival_us=now,
                           runtime_us=theta, allowance_us=allowance,
                           scheduler=self.eid)
-            self.sim.send(self.worker_eids[widx],
-                          ("probe", probe, state, "submit"), now)
+            self.sim.send(self.worker_eids[widx], ("probe", probe, state), now)
 
-    # -- task dispatch ------------------------------------------------------
-
-    def on_task_request(self, probe, worker_eid, now):
-        job_id, stage_idx = probe.job_id
-        job = self.jobs.get(job_id)
-        if job is None:
-            raise ProtocolError("task request for unknown job %r" % (job_id,))
-        key = (stage_idx, probe.task_id)
-        if key in job.launched:
-            raise ProtocolError("task %r of job %r already launched"
-                                % (key, job_id))
-        job.launched.add(key)
-        job.rotations.append(probe.rotations)
-        self.sim.counters["tasks_launched"] += 1
-        duration = job.record.stages[stage_idx].durations_us[probe.task_id]
-        self.sim.send(worker_eid,
-                      ("assign", probe.job_id, probe.task_id, duration,
-                       self.shared_state(now)), now)
-
-    def on_task_finish(self, job_key, task_id, finish_us, now):
-        job_id, stage_idx = job_key
-        job = self.jobs.get(job_id)
-        if job is None:
-            raise ProtocolError("finish for unknown job %r" % (job_id,))
-        theta = job.thetas[stage_idx]
-        self.on_peer_update(-1, -theta)
-        self.broadcast_peer(-1, -theta, now)
-        for ready in job.task_finished(stage_idx, task_id, finish_us):
-            self.submit_stage(job, ready, now)
-        if job.done:
-            self._complete_job(job)
-
-    def _complete_job(self, job):
-        from .metrics import JobRecord
-        self.sim.records.append(JobRecord(
-            job_id=job.record.job_id, scheduler=self.sid,
-            arrival_us=job.arrival_us, completion_us=job.completion_us,
-            rotations=list(job.rotations)))
-        self.sim.jobs_done += 1
+    def assignment(self, probe, task_id, duration_us, now):
+        return ("assign", probe.key, task_id, duration_us,
+                self.shared_state(now))

@@ -1,12 +1,21 @@
-"""Worker state machine on the ring.
+"""Worker state machines.
 
-A worker executes one task at a time.  Between requesting a task and
-receiving its data the single slot is *reserved*: the worker neither
-executes nor pulls another probe, and concurrent enqueues see a remaining
-runtime of zero.  Probes marked for rotation wait in the rotating buffer
-until the next ring round hands them, each job's together, to the successor.
-A worker that gains rotating probes or adopts a fresher shared state adds
-its index to the ring's dirty set, so a round visits only those workers.
+Every algorithm's worker runs one late-binding slot, kept once in
+``SlotWorker``.  A probe that reaches a free slot *reserves* it and asks
+its scheduler for the task; the scheduler answers ``assign`` (or, when it
+has no task left for the probe, ``cancel``); the task runs until its
+``complete`` timer, the worker reports ``task_finish`` and then reserves
+for the next probe of its queue or goes idle.  While reserved, the worker
+neither executes nor pulls another probe.  Each algorithm's worker adds
+only its arrival rule, its queue order and a hook run after the finish
+report.
+
+``PeacockWorker`` is one node of the ring.  Its elastic queue sees a
+remaining runtime of zero while the slot is reserved.  Probes marked for
+rotation wait in the rotating buffer until the next ring round hands them,
+each job's together, to the successor.  A worker that gains rotating
+probes or adopts a fresher shared state adds its index to the ring's dirty
+set, so a round visits only those workers.
 """
 
 from .engine import ProtocolError
@@ -17,22 +26,95 @@ RESERVED = "reserved"
 RUNNING = "running"
 
 
-class PeacockWorker:
-    """One ring node: elastic queue, single execution slot, rotating buffer."""
+class SlotWorker:
+    """A single execution slot fed from a probe queue.  Subclasses define
+    ``on_probe_arrival`` and ``_pop_queue`` (the next probe, or None)."""
 
-    def __init__(self, sim, index, successor_eid):
+    def __init__(self, sim, index):
         self.sim = sim
         self.index = index
         self.eid = sim.add_entity(self)
+        self.slot = IDLE
+        self.reserved_probe = None
+        self.running_probe = None
+        self.running_task_id = None
+        self.running_duration_us = 0
+        self.finish_us = 0
+
+    def handle(self, payload, now):
+        kind = payload[0]
+        if kind == "probe":
+            self.on_probe_arrival(payload[1], now)
+        elif kind == "assign":
+            _, probe_key, task_id, duration_us = payload
+            self.on_task_assign(probe_key, task_id, duration_us, now)
+        elif kind == "cancel":
+            self.on_task_cancel(payload[1], now)
+        elif kind == "complete":
+            self.on_task_complete(now)
+        else:
+            raise ProtocolError("worker %d: unknown payload %r"
+                                % (self.index, kind))
+
+    def _reserve(self, probe, now):
+        self.slot = RESERVED
+        self.reserved_probe = probe
+        self.sim.send(probe.scheduler, ("task_request", probe, self.eid), now)
+
+    def _take_reservation(self, probe_key, what):
+        if self.slot != RESERVED or self.reserved_probe.key != probe_key:
+            raise ProtocolError("worker %d: %s without matching reservation"
+                                % (self.index, what))
+        probe = self.reserved_probe
+        self.reserved_probe = None
+        return probe
+
+    def on_task_assign(self, probe_key, task_id, duration_us, now):
+        self.running_probe = self._take_reservation(probe_key,
+                                                    "task assignment")
+        self.slot = RUNNING
+        self.running_task_id = task_id
+        self.running_duration_us = duration_us
+        self.finish_us = now + duration_us
+        self.sim.schedule_at(self.finish_us, self.eid, ("complete",))
+
+    def on_task_cancel(self, probe_key, now):
+        self._take_reservation(probe_key, "cancel")
+        self._next_or_idle(now)
+
+    def on_task_complete(self, now):
+        probe = self.running_probe
+        self.running_probe = None
+        sim = self.sim
+        sim.counters["tasks_finished"] += 1
+        sim.counters["busy_us"] += self.running_duration_us
+        sim.last_completion_us = max(sim.last_completion_us, now)
+        sim.send(probe.scheduler,
+                 ("task_finish", probe.job_id, self.running_task_id, now), now)
+        self._finished(probe, now)
+        self._next_or_idle(now)
+
+    def _finished(self, probe, now):
+        """Runs after the finish of ``probe``'s task is reported."""
+
+    def _next_or_idle(self, now):
+        head = self._pop_queue()
+        if head is None:
+            self.slot = IDLE
+        else:
+            self._reserve(head, now)
+
+
+class PeacockWorker(SlotWorker):
+    """One ring node: elastic queue, single execution slot, rotating buffer.
+    Every message it receives but ``complete`` carries a shared state."""
+
+    def __init__(self, sim, index, successor_eid):
+        super().__init__(sim, index)
         self.successor_eid = successor_eid
         self.queue = WaitingQueue()
         self.known_state = EMPTY_STATE
         self.last_sent_version = EMPTY_STATE.version
-        self.slot = IDLE
-        self.reserved_probe = None
-        self.running_probe = None
-        self.running_duration_us = 0
-        self.finish_us = 0
         self.held = set()
         # Indices of workers the next ring round must visit; a Ring
         # replaces this with the set it shares among its workers.
@@ -43,7 +125,7 @@ class PeacockWorker:
     def handle(self, payload, now):
         kind = payload[0]
         if kind == "probe":
-            _, probe, state, _via = payload
+            _, probe, state = payload
             self.adopt_shared_state(state)
             self.on_probe_arrival(probe, now)
         elif kind == "rotation":
@@ -52,9 +134,9 @@ class PeacockWorker:
             for probe in probes:
                 self.on_probe_arrival(probe, now)
         elif kind == "assign":
-            _, job_id, task_id, duration_us, state = payload
+            _, probe_key, task_id, duration_us, state = payload
             self.adopt_shared_state(state)
-            self.on_task_assign(job_id, task_id, duration_us, now)
+            self.on_task_assign(probe_key, task_id, duration_us, now)
         elif kind == "complete":
             self.on_task_complete(now)
         else:
@@ -76,8 +158,7 @@ class PeacockWorker:
             delta = max(0, self.finish_us - now)
         else:
             delta = 0
-        self.queue.enqueue(probe, now, delta, self.known_state,
-                           bypass_rule=self.sim.config.bypass_rule)
+        self.queue.enqueue(probe, now, delta, self.known_state)
         if self.queue.rotating:
             self.dirty.add(self.index)
         # Evicted probes are already in the rotating buffer; they stay held
@@ -90,6 +171,12 @@ class PeacockWorker:
         self.known_state = state
         self.dirty.add(self.index)
         return self.queue.trim_to_quota(state)
+
+    def _pop_queue(self):
+        return self.queue.pop_head()
+
+    def _finished(self, probe, now):
+        self.held.discard(probe.key)
 
     # -- rotation rounds ----------------------------------------------------
 
@@ -110,43 +197,6 @@ class PeacockWorker:
         self.sim.counters["rotation_messages"] += 1
         self.sim.counters["probe_hops"] += len(probes)
         self.last_sent_version = self.known_state.version
-
-    # -- task lifecycle -----------------------------------------------------
-
-    def _reserve(self, probe, now):
-        self.slot = RESERVED
-        self.reserved_probe = probe
-        self.sim.send(probe.scheduler,
-                      ("task_request", probe, self.eid), now)
-
-    def on_task_assign(self, job_id, task_id, duration_us, now):
-        if self.slot != RESERVED or self.reserved_probe.key != (job_id, task_id):
-            raise ProtocolError(
-                "worker %d: task assignment without matching reservation"
-                % self.index)
-        self.slot = RUNNING
-        self.running_probe = self.reserved_probe
-        self.reserved_probe = None
-        self.running_duration_us = duration_us
-        self.finish_us = now + duration_us
-        self.sim.schedule_at(self.finish_us, self.eid, ("complete",))
-
-    def on_task_complete(self, now):
-        probe = self.running_probe
-        self.running_probe = None
-        self.held.discard(probe.key)
-        self.sim.counters["tasks_finished"] += 1
-        self.sim.counters["busy_us"] += self.running_duration_us
-        self.sim.last_completion_us = max(self.sim.last_completion_us, now)
-        self.sim.send(probe.scheduler,
-                      ("task_finish", probe.job_id, probe.task_id, now), now)
-        head = self.queue.pop_head()
-        if head is not None:
-            self._reserve(head, now)
-        else:
-            self.slot = IDLE
-            assert not self.queue.entries, \
-                "worker went idle with queued probes"
 
 
 class Ring:

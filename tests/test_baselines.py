@@ -30,10 +30,9 @@ def job(job_id, durations_s, submit_us=0):
                        stages=[Stage([d * US for d in durations_s])])
 
 
-def probe(job_key, task_id, theta_s, scheduler=None, **kw):
+def probe(job_key, task_id, theta_s, scheduler=None):
     return Probe(job_id=job_key, task_id=task_id, arrival_us=0,
-                 runtime_us=theta_s * US, allowance_us=0,
-                 scheduler=scheduler, **kw)
+                 runtime_us=theta_s * US, allowance_us=0, scheduler=scheduler)
 
 
 # -- sparrow -----------------------------------------------------------------
@@ -89,19 +88,21 @@ def test_late_binding_maps_probes_to_remaining_tasks():
 # -- eagle -------------------------------------------------------------------
 
 def make_eagle_worker(partition="general", bound_s=5):
+    # With a 50 s cutoff the 100 s probes below are long and every other
+    # probe is short.
     sim = Simulation(SimConfig(workers=2, algo="eagle", net_delay_us=0))
     sched = Recorder(sim)
     short_stub = Recorder(sim)
     w = EagleWorker(sim, 0, partition, short_worker_eids=[short_stub.eid],
-                    rng=derived_rng(0, "w"), srpt_bound_us=bound_s * US)
+                    rng=derived_rng(0, "w"), srpt_bound_us=bound_s * US,
+                    long_cutoff_us=50 * US)
     w.central_eid = sched.eid
     return sim, w, sched, short_stub
 
 
 def test_eagle_short_probe_resamples_off_long_work():
     sim, w, sched, short_stub = make_eagle_worker()
-    w.handle(("probe", probe(("L", 0), 0, 100, scheduler=sched.eid,
-                             is_long=True)), 0)
+    w.handle(("probe", probe(("L", 0), 0, 100, scheduler=sched.eid)), 0)
     assert w.long_count == 1
     p = probe(("s", 0), ("probe", 0), 2, scheduler=sched.eid)
     w.handle(("probe", p), 1)
@@ -113,8 +114,7 @@ def test_eagle_short_probe_resamples_off_long_work():
 
 def test_eagle_resample_happens_at_most_once():
     sim, w, sched, short_stub = make_eagle_worker()
-    w.handle(("probe", probe(("L", 0), 0, 100, scheduler=sched.eid,
-                             is_long=True)), 0)
+    w.handle(("probe", probe(("L", 0), 0, 100, scheduler=sched.eid)), 0)
     p = probe(("s", 0), ("probe", 0), 2, scheduler=sched.eid)
     p.resampled = True
     w.handle(("probe", p), 1)
@@ -125,8 +125,7 @@ def test_eagle_resample_happens_at_most_once():
 def test_eagle_long_probe_on_short_partition_is_protocol_violation():
     sim, w, sched, _ = make_eagle_worker(partition="short")
     with pytest.raises(ProtocolError):
-        w.handle(("probe", probe(("L", 0), 0, 100, scheduler=sched.eid,
-                                 is_long=True)), 0)
+        w.handle(("probe", probe(("L", 0), 0, 100, scheduler=sched.eid)), 0)
 
 
 def test_eagle_queue_orders_shortest_first():

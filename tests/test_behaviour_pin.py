@@ -1,21 +1,30 @@
-"""Behaviour pins: each algorithm's report digest on small fixed configs.
+"""Behaviour pins: each algorithm's report digest on small fixed configs,
+and the entity classes and payload kinds of each algorithm's run.
 
 A refactor that is meant to keep behaviour must keep these digests; one
 that changes behaviour on purpose updates them and says why in
 CHANGES.md.  The digest is the first 16 hex digits of the sha256 of the
 sorted-keys JSON of the report and the per-job records, as ROADMAP.md
 defines it.
+
+The benchmark (``perfbench/tracer.py``) names its per-layer metrics after
+each entity's module and class and the payload kinds it handles, and it
+drops metric names it does not declare.  A renamed class or kind would
+therefore read 0 in the benchmark without failing it; the class pin makes
+such a rename fail here instead.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
 from peacock_sim import driver
-from peacock_sim.engine import SimConfig
+from peacock_sim.engine import SimConfig, Simulation
 from peacock_sim.metrics import summarize
-from peacock_sim.workload import SyntheticSpec, generate
+from peacock_sim.workload import (Stage, SyntheticSpec, TraceRecord, generate,
+                                  load_trace, save_trace)
 
 US = 1_000_000
 WORKERS = 50
@@ -80,3 +89,97 @@ def test_eagle_wide_general_partition_digest_is_pinned():
                for r in records for s in r.stages)
     result = driver.run_simulation(config, records)
     assert report_digest(result) == "9d6c9d1fcf64b0cc"
+
+
+@pytest.fixture(scope="module")
+def dag_records(tmp_path_factory):
+    # Multi-stage jobs read back from a trace: every stage after the first
+    # depends on one or two earlier ones, so most admissions come from
+    # task_finish.  One stage in four has tasks of 2-8 s, whose mean is
+    # often above Eagle's 3 s long cutoff.
+    rng = random.Random(6)
+    jobs = []
+    for i in range(60):
+        stages = []
+        for s in range(rng.randint(2, 4)):
+            low, high = (2 * US, 8 * US) if rng.random() < 0.25 \
+                else (US // 10, US)
+            durations = [rng.randint(low, high)
+                         for _ in range(rng.randint(2, 5))]
+            deps = sorted(rng.sample(range(s), min(s, rng.randint(1, 2))))
+            stages.append(Stage(durations, deps))
+        jobs.append(TraceRecord("d%d" % i, i * 400_000, stages))
+    path = tmp_path_factory.mktemp("dag") / "dag.jsonl.gz"
+    save_trace(jobs, path)
+    records, dropped = load_trace(path)
+    assert dropped == 0
+    return records
+
+
+@pytest.mark.parametrize("algo, expected", [
+    ("peacock", "50fd5f3404fcb6d2"),
+    ("sparrow", "3bbdef35db9467db"),
+    ("eagle", "0e2ddc61ad175967"),
+])
+def test_dag_trace_digest_is_pinned(dag_records, algo, expected):
+    config = SimConfig(workers=20, schedulers=2, seed=1, algo=algo)
+    assert any(len(s.deps) == 2 for r in dag_records for s in r.stages)
+    assert any(sum(s.durations_us) > config.eagle_long_cutoff_us
+               * len(s.durations_us) for r in dag_records for s in r.stages)
+    result = driver.run_simulation(config, dag_records)
+    counters = result.counters
+    tasks = sum(r.task_count for r in dag_records)
+    assert counters["tasks_finished"] == tasks
+    if algo == "peacock":
+        assert counters["probe_hops"] > 0
+    else:
+        assert counters["probes_cancelled"] > 0
+    if algo == "eagle":
+        # Long stages were placed centrally, one probe per task.
+        assert counters["probes_created"] < config.eagle_probe_ratio * tasks
+    assert report_digest(result) == expected
+
+
+WORKER, SCHEDULER, BASELINES = ("peacock_sim.worker", "peacock_sim.scheduler",
+                                 "peacock_sim.baselines")
+SLOT_KINDS = {"probe", "assign", "cancel", "complete"}
+SCHEDULER_KINDS = {"job", "task_request", "task_finish"}
+ENTITY_KINDS = {
+    "peacock": {
+        (WORKER, "PeacockWorker"): {"probe", "rotation", "assign", "complete"},
+        (WORKER, "Ring"): {"round"},
+        (SCHEDULER, "PeacockScheduler"): SCHEDULER_KINDS | {"peer"},
+    },
+    "sparrow": {
+        (BASELINES, "SparrowWorker"): SLOT_KINDS,
+        (BASELINES, "SparrowScheduler"): SCHEDULER_KINDS,
+    },
+    "eagle": {
+        (BASELINES, "EagleWorker"): SLOT_KINDS,
+        (BASELINES, "EagleCentral"): {"long_stage", "long_finish"},
+        (BASELINES, "EagleScheduler"): SCHEDULER_KINDS,
+    },
+}
+
+
+@pytest.mark.parametrize("algo", sorted(ENTITY_KINDS))
+def test_entity_classes_and_payload_kinds_are_pinned(dag_records, algo,
+                                                     monkeypatch):
+    kinds = {}
+    add_entity = Simulation.add_entity
+
+    def recording_add_entity(sim, entity):
+        cls = type(entity)
+        seen = kinds.setdefault((cls.__module__, cls.__name__), set())
+        handle = entity.handle
+
+        def recording_handle(payload, now):
+            seen.add(payload[0])
+            return handle(payload, now)
+        entity.handle = recording_handle
+        return add_entity(sim, entity)
+
+    monkeypatch.setattr(Simulation, "add_entity", recording_add_entity)
+    driver.run_simulation(
+        SimConfig(workers=20, schedulers=2, seed=1, algo=algo), dag_records)
+    assert kinds == ENTITY_KINDS[algo]

@@ -124,6 +124,22 @@ def test_unknown_algo_in_compare_list_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["run", "--load", "0"], "--load"),
+    (["run", "--load", "nan"], "--load"),
+    (["run", "--jobs", "0"], "--jobs"),
+    (["run", "--workers", "0"], "--workers"),
+    (["run", "--seeds", "0"], "--seeds"),
+    (["compare", "--algos", "peacock,bogus"], "'bogus'"),
+])
+def test_bad_flag_is_rejected_at_parsing_with_its_name(argv, named, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert named in captured.err
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "peacock_sim.cli", "run", "--workers", "5",

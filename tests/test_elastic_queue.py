@@ -147,19 +147,6 @@ def test_rejects_negative_running_remainder():
         q.enqueue(probe("p", theta=1, mu=1), 0, -1, ROOMY)
 
 
-def test_literal_bypass_rule_only_passes_expired():
-    # Same setup as the bypass test above, but under the literal rule the
-    # newcomer cannot pass an unexpired entry.
-    q = WaitingQueue()
-    q.entries.append(probe("q", lam=0, theta=10, mu=30))
-    q.total_runtime_us = 10 * US
-    p = probe("p", lam=1, theta=4, mu=30)
-    outcome, pos, _ = q.enqueue(p, now_us=2 * US, running_remaining_us=5 * US,
-                                state=ROOMY, bypass_rule="literal")
-    assert outcome == INSERTED and pos == 1
-    assert [e.job_id for e in q.entries] == ["q", "p"]
-
-
 # ---------------------------------------------------------------------------
 # randomized properties
 

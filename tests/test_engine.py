@@ -193,7 +193,7 @@ def test_event_cap_trips_on_a_fan_out():
     dict(rotation_interval_us=0),
     dict(net_delay_us=-1),
     dict(algo="fifo"),
-    dict(bypass_rule="prosee"),
+    dict(algo="Peacock"),
     dict(workers=True),
     dict(schedulers=2.0),
     dict(rotation_interval_us=1.5e6),
@@ -226,7 +226,7 @@ def test_config_validation(bad):
 
 
 @pytest.mark.parametrize("fraction", [1e-9, 0.15, 0.5, 0.999999999])
-def test_eagle_short_fraction_range_is_closed(fraction):
+def test_eagle_short_fraction_accepts_interior_values(fraction):
     # Only interior values pass; 0 and 1, which would leave one Eagle
     # partition empty, are rejected in test_config_validation.
     assert SimConfig(eagle_short_fraction=fraction).eagle_short_fraction \

@@ -2,7 +2,7 @@
 
 import pytest
 
-from peacock_sim.metrics import (EMPTY_REPORT, JobRecord, fraction_faster,
+from peacock_sim.metrics import (JobRecord, fraction_faster,
                                  percentile, summarize)
 
 US = 1_000_000
@@ -68,7 +68,7 @@ def test_cdf_is_monotone_and_spans_unit_interval():
 
 
 def test_empty_run_marker():
-    assert summarize([], {}, workers=5) == EMPTY_REPORT
+    assert summarize([], {}, workers=5) is None
 
 
 def test_report_serializes_to_plain_dict():

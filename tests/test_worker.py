@@ -55,7 +55,7 @@ def run_busy(worker, sched):
 def test_idle_worker_reserves_and_requests_task():
     sim, worker, sched, _ = make_worker()
     p = probe("j", scheduler=sched.eid)
-    worker.handle(("probe", p, state(5, 100), "submit"), 0)
+    worker.handle(("probe", p, state(5, 100)), 0)
     assert worker.slot == RESERVED and worker.reserved_probe is p
     drain(sim)
     assert sched.inbox == [(5_000, ("task_request", p, worker.eid))]
@@ -67,7 +67,7 @@ def test_busy_worker_enqueues_without_message():
     worker.running_probe = probe("r", scheduler=sched.eid)
     worker.finish_us = 50 * US
     p = probe("j", scheduler=sched.eid)
-    worker.handle(("probe", p, state(5, 100), "submit"), 10 * US)
+    worker.handle(("probe", p, state(5, 100)), 10 * US)
     assert worker.queue.entries == [p]
     drain(sim)
     assert sched.inbox == []
@@ -79,7 +79,7 @@ def test_tight_quota_sends_probe_to_rotating_buffer():
     worker.running_probe = probe("r", scheduler=sched.eid)
     worker.finish_us = 50 * US
     p = probe("j", scheduler=sched.eid)
-    worker.handle(("probe", p, state(1, 1000), "submit"), 10 * US)
+    worker.handle(("probe", p, state(1, 1000)), 10 * US)
     assert worker.queue.entries == []
     assert worker.queue.rotating == [p]
 
@@ -87,10 +87,10 @@ def test_tight_quota_sends_probe_to_rotating_buffer():
 def test_duplicate_probe_arrival_is_protocol_violation():
     sim, worker, sched, _ = make_worker()
     worker.handle(("probe", probe("j", scheduler=sched.eid),
-                   state(5, 100), "submit"), 0)
+                   state(5, 100)), 0)
     with pytest.raises(ProtocolError):
         worker.handle(("probe", probe("j", scheduler=sched.eid),
-                       state(5, 100, version=(1, 0)), "submit"), 1)
+                       state(5, 100, version=(1, 0))), 1)
 
 
 def test_rotation_round_without_work_or_news_sends_nothing():
@@ -107,7 +107,7 @@ def test_rotate_sends_each_jobs_probes_together_as_the_same_objects():
                   for job, task in (("a", 0), ("b", 0), ("a", 1)))
     s = state(1, 10_000)
     for p in (a0, b0, a1):
-        worker.handle(("probe", p, s, "submit"), 10 * US)
+        worker.handle(("probe", p, s), 10 * US)
     assert worker.queue.rotating == [a0, b0, a1]
     worker.rotate(11 * US)
     assert worker.queue.rotating == [] and worker.held == set()
@@ -145,7 +145,7 @@ def test_ring_round_sends_only_from_workers_with_probes_or_news_in_order():
     workers[3].adopt_shared_state(state(5, 100, version=(2 * US, 0)))
     run_busy(workers[1], sched)
     p = probe("j", scheduler=sched.eid)
-    workers[1].handle(("probe", p, state(1, 10_000), "submit"), 1 * US)
+    workers[1].handle(("probe", p, state(1, 10_000)), 1 * US)
     assert workers[1].queue.rotating == [p]
     ring.handle(("round",), 3 * US)
     drain(sim)
@@ -197,7 +197,7 @@ def test_adopt_smaller_quota_trims_queue():
     for task in range(4):
         worker.handle(("probe", probe("j", task=task, mu=10_000,
                                       scheduler=sched.eid),
-                       s, "submit"), 10 * US)
+                       s), 10 * US)
     assert len(worker.queue.entries) == 4
     worker.adopt_shared_state(state(3, 10_000, version=(2, 0)))
     assert len(worker.queue.entries) == 2
@@ -213,7 +213,7 @@ def test_adopt_larger_quota_evicts_nothing():
     for task in range(4):
         worker.handle(("probe", probe("j", task=task, mu=10_000,
                                       scheduler=sched.eid),
-                       s, "submit"), 10 * US)
+                       s), 10 * US)
     assert worker.adopt_shared_state(state(50, 99_000, version=(2, 0))) == []
     assert len(worker.queue.entries) == 4
 
@@ -221,11 +221,11 @@ def test_adopt_larger_quota_evicts_nothing():
 def test_assign_runs_task_and_completion_promotes_queue():
     sim, worker, sched, _ = make_worker()
     p = probe("j", scheduler=sched.eid)
-    worker.handle(("probe", p, state(5, 100), "submit"), 0)
+    worker.handle(("probe", p, state(5, 100)), 0)
     q = probe("k", lam=1, theta=3, scheduler=sched.eid)
-    worker.handle(("probe", q, state(5, 100), "submit"), 1 * US)
+    worker.handle(("probe", q, state(5, 100)), 1 * US)
     assert worker.queue.entries == [q]
-    worker.handle(("assign", "j", 0, 68 * US, state(5, 100)), 10 * US)
+    worker.handle(("assign", ("j", 0), 0, 68 * US, state(5, 100)), 10 * US)
     assert worker.slot == RUNNING
     assert worker.finish_us == 78 * US
     sim.run()
@@ -239,8 +239,8 @@ def test_assign_runs_task_and_completion_promotes_queue():
 def test_completion_with_empty_queue_goes_idle():
     sim, worker, sched, _ = make_worker()
     p = probe("j", scheduler=sched.eid)
-    worker.handle(("probe", p, state(5, 100), "submit"), 0)
-    worker.handle(("assign", "j", 0, 10 * US, state(5, 100)), 0)
+    worker.handle(("probe", p, state(5, 100)), 0)
+    worker.handle(("assign", ("j", 0), 0, 10 * US, state(5, 100)), 0)
     sim.run()
     assert worker.slot == IDLE
     assert worker.queue.entries == []
@@ -249,4 +249,4 @@ def test_completion_with_empty_queue_goes_idle():
 def test_assign_without_reservation_is_protocol_violation():
     sim, worker, _, _ = make_worker()
     with pytest.raises(ProtocolError):
-        worker.handle(("assign", "j", 0, 10 * US, state(5, 100)), 0)
+        worker.handle(("assign", ("j", 0), 0, 10 * US, state(5, 100)), 0)
