@@ -3,25 +3,35 @@ and scheduler protocol (``scheduler.Scheduler``) that Peacock also runs.
 Both bind late: a probe that reaches a slot takes whichever task of its
 stage is still unlaunched, and the scheduler cancels surplus probes.
 
-Sparrow: batch sampling (probe_ratio probes per task to random workers)
+Sparrow: batch sampling (PROBE_RATIO probes per task to random workers)
 and a FIFO worker queue.
 
 Eagle: a static long/short job split.  A stage whose mean task estimate
-is above the long cutoff is long.  A centralized placer puts each long
+is above LONG_CUTOFF_US is long.  A centralized placer puts each long
 task on the least-loaded worker of the general partition (lowest index on
 ties), kept in a heap of (load, index); the task is bound to its probe.
 Short stages are sampled as in Sparrow, a short probe landing on a worker
-with long work is re-sampled once into the short-only partition, and
-worker queues reorder shortest-estimate-first under a starvation bound.
+with long work is re-sampled once into the short-only partition (the
+first SHORT_FRACTION of the workers), and worker queues reorder
+shortest-estimate-first, except that a probe queued for SRPT_BOUND_US can
+no longer be bypassed.
+
+The baselines are fixed comparison points, so these parameters are module
+constants rather than configuration.
 """
 
 import heapq
 from collections import deque
 
-from .engine import ProtocolError
+from .engine import ProtocolError, US_PER_S
 from .probes import Probe
 from .scheduler import Scheduler, pick_workers
 from .worker import IDLE, SlotWorker
+
+PROBE_RATIO = 2                 # probes per sampled task, both baselines
+LONG_CUTOFF_US = 3 * US_PER_S   # Eagle: a longer stage is placed centrally
+SHORT_FRACTION = 0.15           # Eagle: share of workers kept for short tasks
+SRPT_BOUND_US = 5 * US_PER_S    # Eagle: queue wait after which no bypassing
 
 
 class SparrowWorker(SlotWorker):
@@ -44,22 +54,19 @@ class SparrowWorker(SlotWorker):
 class EagleWorker(SlotWorker):
     """Shortest-estimate-first queue with a starvation bound, plus the
     re-sample-once rule for short probes meeting long work.  A probe is
-    long when its runtime estimate is above ``long_cutoff_us``, the test
+    long when its runtime estimate is above ``LONG_CUTOFF_US``, the test
     that sent its stage to the central placer."""
 
-    def __init__(self, sim, index, partition, short_worker_eids, rng,
-                 srpt_bound_us, long_cutoff_us):
+    def __init__(self, sim, index, partition, short_worker_eids, rng):
         super().__init__(sim, index)
         self.partition = partition          # "short" or "general"
         self.short_worker_eids = short_worker_eids
         self.rng = rng
-        self.srpt_bound_us = srpt_bound_us
-        self.long_cutoff_us = long_cutoff_us
         self.queue = []
         self.long_count = 0                 # long probes queued or running
 
     def on_probe_arrival(self, probe, now):
-        if probe.runtime_us > self.long_cutoff_us:
+        if probe.runtime_us > LONG_CUTOFF_US:
             if self.partition == "short":
                 raise ProtocolError(
                     "long probe reached short-partition worker %d" % self.index)
@@ -83,7 +90,7 @@ class EagleWorker(SlotWorker):
         while i > 0:
             q = entries[i - 1]
             if (probe.runtime_us < q.runtime_us
-                    and now < q.enqueued_us + self.srpt_bound_us):
+                    and now < q.enqueued_us + SRPT_BOUND_US):
                 i -= 1
             else:
                 break
@@ -93,7 +100,7 @@ class EagleWorker(SlotWorker):
         return self.queue.pop(0) if self.queue else None
 
     def _finished(self, probe, now):
-        if probe.runtime_us > self.long_cutoff_us:
+        if probe.runtime_us > LONG_CUTOFF_US:
             self.long_count -= 1
             self.sim.send(self.central_eid,
                           ("long_finish", self.index, probe.runtime_us), now)
@@ -152,13 +159,9 @@ class EagleCentral:
 class SparrowScheduler(Scheduler):
     """Batch sampling with late binding."""
 
-    def __init__(self, sim, sid, worker_eids, rng, probe_ratio):
-        super().__init__(sim, sid, worker_eids, rng)
-        self.probe_ratio = probe_ratio
-
     def submit_stage(self, job, stage_idx, now):
         n = len(job.record.stages[stage_idx].durations_us)
-        count = self.probe_ratio * n
+        count = PROBE_RATIO * n
         targets = pick_workers(self.rng, len(self.worker_eids), count)
         self.sim.counters["probes_created"] += count
         for i, widx in enumerate(targets):
@@ -180,15 +183,13 @@ class EagleScheduler(SparrowScheduler):
     """Long stages go to the central placer; short ones are sampled and
     bound late as in Sparrow."""
 
-    def __init__(self, sim, sid, worker_eids, rng, probe_ratio,
-                 long_cutoff_us, central_eid):
-        super().__init__(sim, sid, worker_eids, rng, probe_ratio)
-        self.long_cutoff_us = long_cutoff_us
+    def __init__(self, sim, sid, worker_eids, rng, central_eid):
+        super().__init__(sim, sid, worker_eids, rng)
         self.central_eid = central_eid
 
     def submit_stage(self, job, stage_idx, now):
         theta = job.thetas[stage_idx]
-        if theta > self.long_cutoff_us:
+        if theta > LONG_CUTOFF_US:
             self.sim.send(self.central_eid,
                           ("long_stage", (job.record.job_id, stage_idx),
                            tuple(job.record.stages[stage_idx].durations_us),
@@ -197,6 +198,6 @@ class EagleScheduler(SparrowScheduler):
             super().submit_stage(job, stage_idx, now)
 
     def bind(self, job, stage_idx, probe):
-        if probe.runtime_us > self.long_cutoff_us:
+        if probe.runtime_us > LONG_CUTOFF_US:
             return probe.task_id            # placed centrally, bound already
         return super().bind(job, stage_idx, probe)

@@ -34,6 +34,14 @@ def positive_float(text):
     return value
 
 
+def non_negative_float(text):
+    value = float(text)
+    if not (value >= 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            "must be a non-negative finite number, not %s" % text)
+    return value
+
+
 def algo_list(text):
     algos = [a.strip() for a in text.split(",") if a.strip()]
     for algo in algos:
@@ -56,7 +64,7 @@ def build_parser():
 
     def common(p):
         p.add_argument("--workers", type=positive_int, default=100)
-        p.add_argument("--schedulers", type=int, default=1)
+        p.add_argument("--schedulers", type=positive_int, default=1)
         p.add_argument("--load", type=positive_float, default=0.8,
                        help="target offered load for synthetic workloads")
         p.add_argument("--jobs", type=positive_int, default=1000,
@@ -64,9 +72,9 @@ def build_parser():
         p.add_argument("--trace", help="trace file (JSON lines, .gz ok)")
         p.add_argument("--duration-model", choices=("lognormal", "two_class"),
                        default="lognormal")
-        p.add_argument("--rotation-interval", type=float, default=1.0,
+        p.add_argument("--rotation-interval", type=positive_float, default=1.0,
                        help="rotation round interval in seconds")
-        p.add_argument("--net-delay", type=float, default=0.005,
+        p.add_argument("--net-delay", type=non_negative_float, default=0.005,
                        help="network delay in seconds")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--seeds", type=positive_int, default=1,

@@ -3,8 +3,8 @@ verifies the run-wide invariants before handing back results."""
 
 from dataclasses import dataclass
 
-from .baselines import (EagleCentral, EagleScheduler, EagleWorker,
-                        SparrowScheduler, SparrowWorker)
+from .baselines import (SHORT_FRACTION, EagleCentral, EagleScheduler,
+                        EagleWorker, SparrowScheduler, SparrowWorker)
 from .engine import SimConfig, Simulation, SimulationError, derived_rng
 from .scheduler import PeacockScheduler
 from .worker import IDLE, PeacockWorker, Ring
@@ -42,16 +42,16 @@ def _build_sparrow(sim, config):
     workers = [SparrowWorker(sim, i) for i in range(config.workers)]
     worker_eids = [w.eid for w in workers]
     schedulers = [SparrowScheduler(sim, s, worker_eids,
-                                   derived_rng(config.seed, "scheduler", s),
-                                   config.sparrow_probe_ratio)
+                                   derived_rng(config.seed, "scheduler", s))
                   for s in range(config.schedulers)]
     return workers, schedulers
 
 
 def _build_eagle(sim, config):
     W = config.workers
-    short_count = max(1, min(W - 1, round(config.eagle_short_fraction * W))) \
-        if W > 1 else 0
+    # One short worker at least once W >= 2; SHORT_FRACTION = 0.15 always
+    # leaves general ones.
+    short_count = max(1, round(SHORT_FRACTION * W)) if W > 1 else 0
     short_indices = list(range(short_count))
     general_indices = list(range(short_count, W))
     workers = []
@@ -59,9 +59,7 @@ def _build_eagle(sim, config):
         partition = "short" if i < short_count else "general"
         workers.append(EagleWorker(
             sim, i, partition, short_worker_eids=None,
-            rng=derived_rng(config.seed, "eagle-worker", i),
-            srpt_bound_us=config.eagle_srpt_bound_us,
-            long_cutoff_us=config.eagle_long_cutoff_us))
+            rng=derived_rng(config.seed, "eagle-worker", i)))
     worker_eids = [w.eid for w in workers]
     short_eids = [worker_eids[i] for i in short_indices] or worker_eids
     for w in workers:
@@ -72,8 +70,7 @@ def _build_eagle(sim, config):
         w.central_eid = central.eid
     schedulers = [EagleScheduler(sim, s, worker_eids,
                                  derived_rng(config.seed, "scheduler", s),
-                                 config.eagle_probe_ratio,
-                                 config.eagle_long_cutoff_us, central.eid)
+                                 central.eid)
                   for s in range(config.schedulers)]
     return workers, schedulers
 

@@ -33,13 +33,15 @@ class ProtocolError(SimulationError):
 
 #: SimConfig fields that must be plain ints (a bool is not one).
 _INT_FIELDS = ("workers", "schedulers", "rotation_interval_us", "net_delay_us",
-               "seed", "event_cap", "sparrow_probe_ratio",
-               "eagle_long_cutoff_us", "eagle_probe_ratio",
-               "eagle_srpt_bound_us")
+               "seed", "event_cap")
 
 
 @dataclass
 class SimConfig:
+    """What a run varies: system size, Peacock's rotation interval, the
+    network delay, the seed and the algorithm.  Sparrow's and Eagle's
+    parameters are fixed constants in ``baselines``.  ``event_cap`` is a
+    non-termination guard."""
     workers: int = 100
     schedulers: int = 1
     rotation_interval_us: int = 1 * US_PER_S
@@ -47,13 +49,6 @@ class SimConfig:
     seed: int = 0
     algo: str = "peacock"
     event_cap: int = 200_000_000
-    # Sparrow
-    sparrow_probe_ratio: int = 2
-    # Eagle (static parameters; defaults are assumptions, tune per workload)
-    eagle_long_cutoff_us: int = 3 * US_PER_S
-    eagle_short_fraction: float = 0.15
-    eagle_probe_ratio: int = 2
-    eagle_srpt_bound_us: int = 5 * US_PER_S
 
     def __post_init__(self):
         for name in _INT_FIELDS:
@@ -63,8 +58,7 @@ class SimConfig:
                                       % (name, value))
         for name, low in (("workers", 1), ("schedulers", 1),
                           ("rotation_interval_us", 1), ("net_delay_us", 0),
-                          ("event_cap", 1), ("sparrow_probe_ratio", 1),
-                          ("eagle_probe_ratio", 1)):
+                          ("event_cap", 1)):
             value = getattr(self, name)
             if value < low:
                 raise SimulationError("%s must be at least %d, not %r"
@@ -73,14 +67,6 @@ class SimConfig:
         if self.algo not in algos:
             raise SimulationError("algo must be one of %s, not %r"
                                   % (", ".join(algos), self.algo))
-        fraction = self.eagle_short_fraction
-        # 0 and 1 would leave a partition empty; _build_eagle's clamp only
-        # corrects rounding on small W.  NaN fails the range test too:
-        # every comparison with it is false.
-        if type(fraction) not in (int, float) or not 0 < fraction < 1:
-            raise SimulationError(
-                "eagle_short_fraction must be a number strictly between 0 "
-                "and 1, not %r" % (fraction,))
 
 
 def derived_rng(seed, *tags):

@@ -5,6 +5,9 @@ from dataclasses import dataclass, field
 
 from .engine import US_PER_S
 
+#: Evenly spaced JCT points, from the least to the greatest, in a report's CDF.
+CDF_POINTS = 100
+
 
 @dataclass
 class JobRecord:
@@ -65,7 +68,7 @@ def percentile(sorted_values, q):
     return sorted_values[lo] * (1.0 - frac) + sorted_values[hi] * frac
 
 
-def summarize(records, counters, workers, cdf_points=100):
+def summarize(records, counters, workers):
     """Aggregate job records and run counters into a Report.
 
     Returns None when there are no records.
@@ -80,8 +83,8 @@ def summarize(records, counters, workers, cdf_points=100):
     lo, hi = jcts[0], jcts[-1]
     span = hi - lo
     n = len(jcts)
-    for i in range(cdf_points):
-        x = lo + span * i / (cdf_points - 1) if cdf_points > 1 else hi
+    for i in range(CDF_POINTS):
+        x = lo + span * i / (CDF_POINTS - 1)
         # fraction of jobs with JCT <= x
         count = bisect.bisect_right(jcts, x)
         cdf.append((x, count / n))

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peacock_sim import driver
-from peacock_sim.baselines import EagleCentral, EagleWorker, SparrowWorker
+from peacock_sim.baselines import (LONG_CUTOFF_US, PROBE_RATIO, EagleCentral,
+                                   EagleWorker, SparrowWorker)
 from peacock_sim.engine import ProtocolError, SimConfig, Simulation, \
     derived_rng
 from peacock_sim.probes import Probe
@@ -39,13 +40,14 @@ def probe(job_key, task_id, theta_s, scheduler=None):
 
 def test_sparrow_probe_count_and_exactly_once():
     cfg = SimConfig(workers=20, schedulers=1, algo="sparrow",
-                    sparrow_probe_ratio=2, net_delay_us=1000, seed=3)
+                    net_delay_us=1000, seed=3)
     result = driver.run_simulation(cfg, [job("j", [5, 5, 5])])
     c = result.counters
-    assert c["probes_created"] == 6        # ratio 2 x 3 tasks
+    assert c["probes_created"] == PROBE_RATIO * 3
     assert c["tasks_launched"] == 3
     assert c["tasks_finished"] == 3
-    assert c["probes_cancelled"] == 3      # surplus probes cancelled lazily
+    # Surplus probes are cancelled lazily.
+    assert c["probes_cancelled"] == (PROBE_RATIO - 1) * 3
     assert result.records[0].job_id == "j"
 
 
@@ -54,7 +56,7 @@ def test_sparrow_probes_hit_distinct_workers():
     from peacock_sim.baselines import SparrowScheduler
     recorders = [Recorder(sim) for _ in range(10)]
     sched = SparrowScheduler(sim, 0, [r.eid for r in recorders],
-                             derived_rng(1, "s"), probe_ratio=2)
+                             derived_rng(1, "s"))
     sched.on_job_arrival(job("j", [5, 5, 5, 5]), 0)
     sim.run()
     hit = [r for r in recorders if r.inbox]
@@ -79,7 +81,7 @@ def test_late_binding_maps_probes_to_remaining_tasks():
     # One 2-task stage, ratio 2: the first two probes to reach a slot get
     # tasks 0 and 1, the last two are cancelled.
     cfg = SimConfig(workers=4, schedulers=1, algo="sparrow",
-                    sparrow_probe_ratio=2, net_delay_us=1000, seed=8)
+                    net_delay_us=1000, seed=8)
     result = driver.run_simulation(cfg, [job("j", [7, 2])])
     assert result.counters["tasks_launched"] == 2
     assert result.counters["probes_cancelled"] == 2
@@ -87,15 +89,14 @@ def test_late_binding_maps_probes_to_remaining_tasks():
 
 # -- eagle -------------------------------------------------------------------
 
-def make_eagle_worker(partition="general", bound_s=5):
-    # With a 50 s cutoff the 100 s probes below are long and every other
-    # probe is short.
+def make_eagle_worker(partition="general"):
+    # With the 3 s cutoff the 100 s probes below are long and every other
+    # probe, at most 3 s, is short.
     sim = Simulation(SimConfig(workers=2, algo="eagle", net_delay_us=0))
     sched = Recorder(sim)
     short_stub = Recorder(sim)
     w = EagleWorker(sim, 0, partition, short_worker_eids=[short_stub.eid],
-                    rng=derived_rng(0, "w"), srpt_bound_us=bound_s * US,
-                    long_cutoff_us=50 * US)
+                    rng=derived_rng(0, "w"))
     w.central_eid = sched.eid
     return sim, w, sched, short_stub
 
@@ -131,21 +132,21 @@ def test_eagle_long_probe_on_short_partition_is_protocol_violation():
 def test_eagle_queue_orders_shortest_first():
     sim, w, sched, _ = make_eagle_worker()
     w.slot = "running"
-    w.handle(("probe", probe(("a", 0), ("probe", 0), 9,
+    w.handle(("probe", probe(("a", 0), ("probe", 0), 3,
                              scheduler=sched.eid)), 0)
-    w.handle(("probe", probe(("b", 0), ("probe", 0), 3,
+    w.handle(("probe", probe(("b", 0), ("probe", 0), 1,
                              scheduler=sched.eid)), 1)
-    w.handle(("probe", probe(("c", 0), ("probe", 0), 6,
+    w.handle(("probe", probe(("c", 0), ("probe", 0), 2,
                              scheduler=sched.eid)), 2)
-    assert [p.runtime_us for p in w.queue] == [3 * US, 6 * US, 9 * US]
+    assert [p.runtime_us for p in w.queue] == [1 * US, 2 * US, 3 * US]
 
 
 def test_eagle_starvation_bound_blocks_bypass():
-    sim, w, sched, _ = make_eagle_worker(bound_s=5)
+    sim, w, sched, _ = make_eagle_worker()
     w.slot = "running"
-    w.handle(("probe", probe(("old", 0), ("probe", 0), 9,
+    w.handle(("probe", probe(("old", 0), ("probe", 0), 3,
                              scheduler=sched.eid)), 0)
-    # 6s later the old probe has aged past the bound: no more bypassing.
+    # 6s later the old probe has aged past the 5 s bound: no more bypassing.
     w.handle(("probe", probe(("new", 0), ("probe", 0), 1,
                              scheduler=sched.eid)), 6 * US)
     assert [p.job_id[0] for p in w.queue] == ["old", "new"]
@@ -205,14 +206,26 @@ def test_eagle_central_matches_least_loaded_scan(data, general):
 
 def test_eagle_long_stage_goes_central_short_stays_sampled():
     cfg = SimConfig(workers=20, schedulers=1, algo="eagle",
-                    eagle_long_cutoff_us=3 * US, net_delay_us=1000, seed=4)
+                    net_delay_us=1000, seed=4)
+    assert 2 * US <= LONG_CUTOFF_US < 30 * US
     result = driver.run_simulation(
         cfg, [job("short", [2, 2]), job("long", [30, 30], submit_us=1)])
     c = result.counters
     # Short stage: ratio x 2 probes; long stage: exactly one probe per task.
-    assert c["probes_created"] == cfg.eagle_probe_ratio * 2 + 2
+    assert c["probes_created"] == PROBE_RATIO * 2 + 2
     assert c["tasks_launched"] == c["tasks_finished"] == 4
     assert {r.job_id for r in result.records} == {"short", "long"}
+
+
+@pytest.mark.parametrize("workers, short", [(1, 0), (2, 1), (3, 1), (10, 2),
+                                            (20, 3)])
+def test_eagle_short_partition_size(workers, short):
+    # max(1, round(0.15 * W)) for W >= 2 never reaches W, so no bound on
+    # the general side is needed: W = 2 keeps one general worker.
+    sim = Simulation(SimConfig(workers=workers, algo="eagle"))
+    built, _ = driver._build_eagle(sim, sim.config)
+    assert [w.partition for w in built] == \
+        ["short"] * short + ["general"] * (workers - short)
 
 
 @pytest.mark.parametrize("algo", ["sparrow", "eagle"])

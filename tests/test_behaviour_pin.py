@@ -1,5 +1,6 @@
 """Behaviour pins: each algorithm's report digest on small fixed configs,
-and the entity classes and payload kinds of each algorithm's run.
+the entity classes and payload kinds of each algorithm's run, and the
+fields of SimConfig.
 
 A refactor that is meant to keep behaviour must keep these digests; one
 that changes behaviour on purpose updates them and says why in
@@ -14,6 +15,7 @@ therefore read 0 in the benchmark without failing it; the class pin makes
 such a rename fail here instead.
 """
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -21,6 +23,7 @@ import random
 import pytest
 
 from peacock_sim import driver
+from peacock_sim.baselines import LONG_CUTOFF_US, PROBE_RATIO
 from peacock_sim.engine import SimConfig, Simulation
 from peacock_sim.metrics import summarize
 from peacock_sim.workload import (Stage, SyntheticSpec, TraceRecord, generate,
@@ -85,7 +88,7 @@ def test_eagle_wide_general_partition_digest_is_pinned():
                          long_duration_us=200 * US, short_fraction=0.8)
     config = SimConfig(workers=400, schedulers=4, seed=1, algo="eagle")
     records = generate(spec, config.workers)
-    assert any(s.durations_us[0] > config.eagle_long_cutoff_us
+    assert any(s.durations_us[0] > LONG_CUTOFF_US
                for r in records for s in r.stages)
     result = driver.run_simulation(config, records)
     assert report_digest(result) == "9d6c9d1fcf64b0cc"
@@ -124,8 +127,8 @@ def dag_records(tmp_path_factory):
 def test_dag_trace_digest_is_pinned(dag_records, algo, expected):
     config = SimConfig(workers=20, schedulers=2, seed=1, algo=algo)
     assert any(len(s.deps) == 2 for r in dag_records for s in r.stages)
-    assert any(sum(s.durations_us) > config.eagle_long_cutoff_us
-               * len(s.durations_us) for r in dag_records for s in r.stages)
+    assert any(sum(s.durations_us) > LONG_CUTOFF_US * len(s.durations_us)
+               for r in dag_records for s in r.stages)
     result = driver.run_simulation(config, dag_records)
     counters = result.counters
     tasks = sum(r.task_count for r in dag_records)
@@ -136,7 +139,7 @@ def test_dag_trace_digest_is_pinned(dag_records, algo, expected):
         assert counters["probes_cancelled"] > 0
     if algo == "eagle":
         # Long stages were placed centrally, one probe per task.
-        assert counters["probes_created"] < config.eagle_probe_ratio * tasks
+        assert counters["probes_created"] < PROBE_RATIO * tasks
     assert report_digest(result) == expected
 
 
@@ -160,6 +163,14 @@ ENTITY_KINDS = {
         (BASELINES, "EagleScheduler"): SCHEDULER_KINDS,
     },
 }
+
+
+def test_config_fields_are_pinned():
+    # Sparrow's and Eagle's parameters are constants in baselines; a new
+    # knob has to be added here too.
+    assert [f.name for f in dataclasses.fields(SimConfig)] == [
+        "workers", "schedulers", "rotation_interval_us", "net_delay_us",
+        "seed", "algo", "event_cap"]
 
 
 @pytest.mark.parametrize("algo", sorted(ENTITY_KINDS))

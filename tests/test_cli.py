@@ -131,6 +131,11 @@ def test_unknown_algo_in_compare_list_exits_2(capsys):
     (["run", "--workers", "0"], "--workers"),
     (["run", "--seeds", "0"], "--seeds"),
     (["compare", "--algos", "peacock,bogus"], "'bogus'"),
+    (["run", "--schedulers", "0"], "--schedulers"),
+    (["run", "--rotation-interval", "nan"], "--rotation-interval"),
+    (["run", "--rotation-interval", "0"], "--rotation-interval"),
+    (["run", "--net-delay", "inf"], "--net-delay"),
+    (["run", "--net-delay", "-0.001"], "--net-delay"),
 ])
 def test_bad_flag_is_rejected_at_parsing_with_its_name(argv, named, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -199,38 +199,30 @@ def test_event_cap_trips_on_a_fan_out():
     dict(rotation_interval_us=1.5e6),
     dict(net_delay_us=0.5),
     dict(event_cap="1000"),
-    dict(eagle_long_cutoff_us=3e6),
-    dict(eagle_srpt_bound_us=False),
+    dict(workers=None),
+    dict(schedulers=-2),
     dict(event_cap=0),
-    dict(sparrow_probe_ratio=0),
-    dict(eagle_probe_ratio=0),
+    dict(rotation_interval_us=-1),
+    dict(net_delay_us=float("nan")),
     dict(seed=1.7),
-    dict(sparrow_probe_ratio=1.5),
-    dict(eagle_probe_ratio=True),
-    dict(eagle_short_fraction=-0.5),
-    dict(eagle_short_fraction=7.0),
-    dict(eagle_short_fraction=float("nan")),
-    dict(eagle_short_fraction=float("inf")),
-    dict(eagle_short_fraction=True),
-    dict(eagle_short_fraction="0.1"),
-    dict(eagle_short_fraction=None),
-    dict(eagle_short_fraction=0),
-    dict(eagle_short_fraction=0.0),
-    dict(eagle_short_fraction=1),
-    dict(eagle_short_fraction=1.0),
+    dict(net_delay_us=float("inf")),
+    dict(rotation_interval_us=None),
+    dict(seed=None),
+    dict(seed="0"),
+    dict(seed=True),
+    dict(algo=None),
+    dict(algo=""),
+    dict(event_cap=-1),
+    dict(event_cap=1e9),
+    dict(workers=4.0),
+    dict(schedulers=False),
+    dict(net_delay_us=True),
+    dict(algo=" peacock"),
 ])
 def test_config_validation(bad):
     (field,) = bad
     with pytest.raises(SimulationError, match=field):
         SimConfig(**bad)
-
-
-@pytest.mark.parametrize("fraction", [1e-9, 0.15, 0.5, 0.999999999])
-def test_eagle_short_fraction_accepts_interior_values(fraction):
-    # Only interior values pass; 0 and 1, which would leave one Eagle
-    # partition empty, are rejected in test_config_validation.
-    assert SimConfig(eagle_short_fraction=fraction).eagle_short_fraction \
-        == fraction
 
 
 def test_derived_rng_is_stable_and_stream_separated():

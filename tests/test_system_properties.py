@@ -34,12 +34,13 @@ def stages(draw):
 @st.composite
 def systems(draw):
     interval = draw(st.integers(US // 10, 2 * US))
-    config = dict(workers=draw(st.integers(1, 6)),
+    # Eagle keeps round(0.15 * W) short workers: 0 or 1 up to W = 9, and
+    # 2 from W = 10.
+    config = dict(workers=draw(st.integers(1, 14)),
                   schedulers=draw(st.integers(1, 4)),
                   rotation_interval_us=interval,
                   net_delay_us=draw(st.integers(0, interval)),
-                  seed=draw(st.integers(0, 2 ** 16)),
-                  eagle_short_fraction=draw(st.floats(0.05, 0.95)))
+                  seed=draw(st.integers(0, 2 ** 16)))
     jobs = [TraceRecord(i, draw(st.integers(0, 10 * US)), draw(stages()))
             for i in range(draw(st.integers(1, 6)))]
     return config, jobs
