@@ -8,8 +8,8 @@ and a FIFO worker queue.
 
 Eagle: a static long/short job split.  A stage whose mean task estimate
 is above LONG_CUTOFF_US is long.  A centralized placer puts each long
-task on the least-loaded worker of the general partition (lowest index on
-ties), kept in a heap of (load, index); the task is bound to its probe.
+task on the least-loaded worker of the general partition (lowest eid on
+ties), kept in a heap of (load, eid); the task is bound to its probe.
 Short stages are sampled as in Sparrow, a short probe landing on a worker
 with long work is re-sampled once into the short-only partition (the
 first SHORT_FRACTION of the workers), and worker queues reorder
@@ -103,7 +103,7 @@ class EagleWorker(SlotWorker):
         if probe.runtime_us > LONG_CUTOFF_US:
             self.long_count -= 1
             self.sim.send(self.central_eid,
-                          ("long_finish", self.index, probe.runtime_us), now)
+                          ("long_finish", self.eid, probe.runtime_us), now)
 
 
 class EagleCentral:
@@ -111,49 +111,49 @@ class EagleCentral:
     placements; finish notifications arrive with network delay.
 
     Each long task goes to the least-loaded general worker, the lowest
-    index on ties.  ``loads_us`` holds the loads; ``heap`` holds
-    ``(load_us, index)`` entries, and an entry whose load differs from
+    eid on ties; the driver creates workers in index order, so that is the
+    lowest index too.  ``loads_us`` holds the loads by worker eid; ``heap``
+    holds ``(load_us, eid)`` entries, and an entry whose load differs from
     ``loads_us`` is stale and is dropped when it reaches the top.  Every
     worker keeps one entry that matches its load, so the first matching
-    entry on top is the least ``(load_us, index)``.
+    entry on top is the least ``(load_us, eid)``.
     """
 
-    def __init__(self, sim, general_worker_eids, general_indices):
+    def __init__(self, sim, general_worker_eids):
         self.sim = sim
         self.eid = sim.add_entity(self)
-        self.eid_by_index = dict(zip(general_indices, general_worker_eids))
-        self.loads_us = {i: 0 for i in general_indices}
-        self.heap = [(0, i) for i in general_indices]
+        self.loads_us = dict.fromkeys(general_worker_eids, 0)
+        self.heap = [(0, eid) for eid in general_worker_eids]
         heapq.heapify(self.heap)
 
     def handle(self, payload, now):
         kind = payload[0]
         if kind == "long_stage":
-            _, job_key, durations, theta, scheduler_eid = payload
-            self.place_stage(job_key, durations, theta, scheduler_eid, now)
+            _, job_key, tasks, theta, scheduler_eid = payload
+            self.place_stage(job_key, tasks, theta, scheduler_eid, now)
         elif kind == "long_finish":
-            _, widx, theta = payload
-            load = self.loads_us[widx] - theta
-            self.loads_us[widx] = load
-            heapq.heappush(self.heap, (load, widx))
+            _, worker_eid, theta = payload
+            load = self.loads_us[worker_eid] - theta
+            self.loads_us[worker_eid] = load
+            heapq.heappush(self.heap, (load, worker_eid))
         else:
             raise ProtocolError("eagle central: unknown payload %r" % kind)
 
-    def place_stage(self, job_key, durations, theta, scheduler_eid, now):
-        self.sim.counters["probes_created"] += len(durations)
+    def place_stage(self, job_key, tasks, theta, scheduler_eid, now):
+        self.sim.counters["probes_created"] += tasks
         heap = self.heap
         loads_us = self.loads_us
-        for task_id in range(len(durations)):
+        for task_id in range(tasks):
             while heap[0][0] != loads_us[heap[0][1]]:
                 heapq.heappop(heap)
-            load, widx = heap[0]
+            load, worker_eid = heap[0]
             load += theta
-            loads_us[widx] = load
-            heapq.heapreplace(heap, (load, widx))
+            loads_us[worker_eid] = load
+            heapq.heapreplace(heap, (load, worker_eid))
             probe = Probe(job_id=job_key, task_id=task_id, arrival_us=now,
                           runtime_us=theta, allowance_us=0,
                           scheduler=scheduler_eid)
-            self.sim.send(self.eid_by_index[widx], ("probe", probe), now)
+            self.sim.send(worker_eid, ("probe", probe), now)
 
 
 class SparrowScheduler(Scheduler):
@@ -192,7 +192,7 @@ class EagleScheduler(SparrowScheduler):
         if theta > LONG_CUTOFF_US:
             self.sim.send(self.central_eid,
                           ("long_stage", (job.record.job_id, stage_idx),
-                           tuple(job.record.stages[stage_idx].durations_us),
+                           len(job.record.stages[stage_idx].durations_us),
                            theta, self.eid), now)
         else:
             super().submit_stage(job, stage_idx, now)

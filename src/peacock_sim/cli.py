@@ -9,14 +9,12 @@ import os
 import sys
 
 from .driver import run_simulation
-from .engine import SimConfig, SimulationError, US_PER_S, derived_rng
+from .engine import ALGOS, SimConfig, SimulationError, US_PER_S, derived_rng
 from .metrics import fraction_faster, summarize
 from .workload import (SyntheticSpec, TraceError, generate, load_trace,
                        mean_interarrival_us)
 
 REPORT_SCHEMA = "peacock-report-1"
-
-ALGOS = ("peacock", "sparrow", "eagle")
 
 
 def positive_int(text):
@@ -34,12 +32,17 @@ def positive_float(text):
     return value
 
 
-def non_negative_float(text):
-    value = float(text)
-    if not (value >= 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(
-            "must be a non-negative finite number, not %s" % text)
-    return value
+def whole_us(least):
+    """An argparse type: non-negative seconds, converted to whole
+    microseconds, that round to at least ``least`` microseconds."""
+    def seconds(text):
+        us = float(text) * US_PER_S
+        if not (math.isfinite(us) and us >= 0 and round(us) >= least):
+            raise argparse.ArgumentTypeError(
+                "must be finite seconds of at least %d us once rounded to "
+                "whole microseconds, not %s" % (least, text))
+        return round(us)
+    return seconds
 
 
 def algo_list(text):
@@ -72,9 +75,9 @@ def build_parser():
         p.add_argument("--trace", help="trace file (JSON lines, .gz ok)")
         p.add_argument("--duration-model", choices=("lognormal", "two_class"),
                        default="lognormal")
-        p.add_argument("--rotation-interval", type=positive_float, default=1.0,
+        p.add_argument("--rotation-interval", type=whole_us(1), default="1.0",
                        help="rotation round interval in seconds")
-        p.add_argument("--net-delay", type=non_negative_float, default=0.005,
+        p.add_argument("--net-delay", type=whole_us(0), default="0.005",
                        help="network delay in seconds")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--seeds", type=positive_int, default=1,
@@ -99,8 +102,8 @@ def make_config(args, algo, seed):
     return SimConfig(
         workers=args.workers,
         schedulers=args.schedulers,
-        rotation_interval_us=int(round(args.rotation_interval * US_PER_S)),
-        net_delay_us=int(round(args.net_delay * US_PER_S)),
+        rotation_interval_us=args.rotation_interval,
+        net_delay_us=args.net_delay,
         seed=seed,
         algo=algo,
     )
@@ -112,6 +115,9 @@ def make_workload(args, seed):
         if dropped:
             print("pruned %d invalid jobs from trace" % dropped,
                   file=sys.stderr)
+        if not records:
+            raise TraceError("%s has no valid jobs (%d pruned)"
+                             % (args.trace, dropped))
         missing = [r.job_id for r in records if r.submit_us is None]
         if 0 < len(missing) < len(records):
             raise TraceError("job %r has no submit_us but other jobs do"
@@ -133,11 +139,9 @@ def make_workload(args, seed):
 
 
 def report_payload(result):
-    report = summarize(result.records, result.counters, result.workers)
-    if report is None:
-        return {"schema": REPORT_SCHEMA, "empty": True}
     payload = {"schema": REPORT_SCHEMA, "empty": False}
-    payload.update(report.to_dict())
+    payload.update(summarize(result.records, result.counters,
+                             result.workers).to_dict())
     return payload
 
 

@@ -15,7 +15,6 @@ class RunResult:
     config: SimConfig
     records: list
     counters: dict
-    makespan_us: int
 
     @property
     def workers(self):
@@ -24,6 +23,8 @@ class RunResult:
 
 def _build_peacock(sim, config):
     W = config.workers
+    # First: successor_eid names worker i + 1 by its eid, so worker i must
+    # be entity i.
     workers = [PeacockWorker(sim, i, successor_eid=(i + 1) % W)
                for i in range(W)]
     worker_eids = [w.eid for w in workers]
@@ -33,7 +34,7 @@ def _build_peacock(sim, config):
     sched_eids = [s.eid for s in schedulers]
     for s in schedulers:
         s.peer_eids = [e for e in sched_eids if e != s.eid]
-    ring = Ring(sim, workers)   # last: worker eids are their ring indices
+    ring = Ring(sim, workers)
     sim.schedule_at(config.rotation_interval_us, ring.eid, ("round",))
     return workers, schedulers
 
@@ -52,21 +53,15 @@ def _build_eagle(sim, config):
     # One short worker at least once W >= 2; SHORT_FRACTION = 0.15 always
     # leaves general ones.
     short_count = max(1, round(SHORT_FRACTION * W)) if W > 1 else 0
-    short_indices = list(range(short_count))
-    general_indices = list(range(short_count, W))
-    workers = []
-    for i in range(W):
-        partition = "short" if i < short_count else "general"
-        workers.append(EagleWorker(
-            sim, i, partition, short_worker_eids=None,
-            rng=derived_rng(config.seed, "eagle-worker", i)))
+    workers = [EagleWorker(sim, i, "short" if i < short_count else "general",
+                           short_worker_eids=None,
+                           rng=derived_rng(config.seed, "eagle-worker", i))
+               for i in range(W)]
     worker_eids = [w.eid for w in workers]
-    short_eids = [worker_eids[i] for i in short_indices] or worker_eids
+    short_eids = worker_eids[:short_count] or worker_eids
+    central = EagleCentral(sim, worker_eids[short_count:])
     for w in workers:
         w.short_worker_eids = short_eids
-    central = EagleCentral(sim, [worker_eids[i] for i in general_indices],
-                           general_indices)
-    for w in workers:
         w.central_eid = central.eid
     schedulers = [EagleScheduler(sim, s, worker_eids,
                                  derived_rng(config.seed, "scheduler", s),
@@ -98,8 +93,7 @@ def run_simulation(config, records):
     _check_quiescence(sim, workers, schedulers, len(records))
     sim.records.sort(key=lambda r: str(r.job_id))
     return RunResult(config=config, records=sim.records,
-                     counters=dict(sim.counters),
-                     makespan_us=sim.last_completion_us)
+                     counters=dict(sim.counters))
 
 
 def _check_quiescence(sim, workers, schedulers, total_jobs):

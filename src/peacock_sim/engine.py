@@ -31,9 +31,12 @@ class ProtocolError(SimulationError):
     """An entity observed a message that its protocol forbids."""
 
 
-#: SimConfig fields that must be plain ints (a bool is not one).
-_INT_FIELDS = ("workers", "schedulers", "rotation_interval_us", "net_delay_us",
-               "seed", "event_cap")
+ALGOS = ("peacock", "sparrow", "eagle")
+
+#: SimConfig's integer fields and the least value of each (None: no bound).
+#: A bool is not an integer here.
+_INT_FIELDS = {"workers": 1, "schedulers": 1, "rotation_interval_us": 1,
+               "net_delay_us": 0, "seed": None, "event_cap": 1}
 
 
 @dataclass
@@ -51,22 +54,17 @@ class SimConfig:
     event_cap: int = 200_000_000
 
     def __post_init__(self):
-        for name in _INT_FIELDS:
+        for name, low in _INT_FIELDS.items():
             value = getattr(self, name)
             if type(value) is not int:
                 raise SimulationError("%s must be an integer, not %r"
                                       % (name, value))
-        for name, low in (("workers", 1), ("schedulers", 1),
-                          ("rotation_interval_us", 1), ("net_delay_us", 0),
-                          ("event_cap", 1)):
-            value = getattr(self, name)
-            if value < low:
+            if low is not None and value < low:
                 raise SimulationError("%s must be at least %d, not %r"
                                       % (name, low, value))
-        algos = ("peacock", "sparrow", "eagle")
-        if self.algo not in algos:
+        if self.algo not in ALGOS:
             raise SimulationError("algo must be one of %s, not %r"
-                                  % (", ".join(algos), self.algo))
+                                  % (", ".join(ALGOS), self.algo))
 
 
 def derived_rng(seed, *tags):
@@ -107,7 +105,6 @@ class Simulation:
         self.records = []
         self.total_jobs = 0
         self.jobs_done = 0
-        self.last_completion_us = 0
 
     def add_entity(self, entity):
         self.entities.append(entity)

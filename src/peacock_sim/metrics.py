@@ -95,14 +95,14 @@ def summarize(records, counters, workers):
     per_probe = hop_total / probe_total if probe_total else 0.0
     per_task = hop_total / task_total if task_total else 0.0
 
-    makespan_us = max(r.completion_us for r in records)
+    end_us = max(r.completion_us for r in records)
     busy_us = counters.get("busy_us", 0)
-    util = busy_us / (workers * makespan_us) if makespan_us else 0.0
+    util = busy_us / (workers * end_us) if end_us else 0.0
 
     return Report(jobs=len(records), ajct_s=ajct, percentiles_s=pcts,
                   cdf=cdf, mean_rotations_per_probe=per_probe,
                   mean_rotations_per_task=per_task, utilization=util,
-                  makespan_s=makespan_us / US_PER_S, counters=dict(counters))
+                  makespan_s=end_us / US_PER_S, counters=dict(counters))
 
 
 def fraction_faster(records_a, records_b):

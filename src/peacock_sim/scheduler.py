@@ -204,13 +204,16 @@ class PeacockScheduler(Scheduler):
             version=(now, self.sid),
         )
 
-    def broadcast_peer(self, dcount, dload_us, now):
+    def change_aggregate(self, dcount, dload_us, now):
+        """Apply this scheduler's own aggregate delta and send it to the
+        peers."""
+        self.on_peer_update(dcount, dload_us)
         for eid in self.peer_eids:
             self.sim.send(eid, ("peer", dcount, dload_us), now)
 
     def on_peer_update(self, dcount, dload_us):
-        """Apply a peer's aggregate delta, or this scheduler's own for a task
-        finish; a total driven negative is clamped to zero and counted."""
+        """Apply an aggregate delta, a peer's or this scheduler's own; a
+        total driven negative is clamped to zero and counted."""
         self.probe_count += dcount
         self.load_us += dload_us
         if self.probe_count < 0 or self.load_us < 0:
@@ -219,9 +222,7 @@ class PeacockScheduler(Scheduler):
             self.sim.counters["aggregate_clamps"] += 1
 
     def release(self, job, stage_idx, now):
-        theta = job.thetas[stage_idx]
-        self.on_peer_update(-1, -theta)
-        self.broadcast_peer(-1, -theta, now)
+        self.change_aggregate(-1, -job.thetas[stage_idx], now)
 
     # -- probe placement ----------------------------------------------------
 
@@ -229,9 +230,7 @@ class PeacockScheduler(Scheduler):
         durations = job.record.stages[stage_idx].durations_us
         n = len(durations)
         theta = job.thetas[stage_idx]
-        self.probe_count += n
-        self.load_us += n * theta
-        self.broadcast_peer(n, n * theta, now)
+        self.change_aggregate(n, n * theta, now)
         state = self.shared_state(now)
         allowance = state.load_quota_us
         targets = pick_workers(self.rng, len(self.worker_eids), n)

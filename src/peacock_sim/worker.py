@@ -15,7 +15,8 @@ remaining runtime of zero while the slot is reserved.  Probes marked for
 rotation wait in the rotating buffer until the next ring round hands them,
 each job's together, to the successor.  A worker that gains rotating
 probes or adopts a fresher shared state adds its index to the ring's dirty
-set, so a round visits only those workers.
+set.  Both persist until the worker rotates, so a round rotates exactly the
+dirty workers.
 """
 
 from .engine import ProtocolError
@@ -88,7 +89,6 @@ class SlotWorker:
         sim = self.sim
         sim.counters["tasks_finished"] += 1
         sim.counters["busy_us"] += self.running_duration_us
-        sim.last_completion_us = max(sim.last_completion_us, now)
         sim.send(probe.scheduler,
                  ("task_finish", probe.job_id, self.running_task_id, now), now)
         self._finished(probe, now)
@@ -114,7 +114,6 @@ class PeacockWorker(SlotWorker):
         self.successor_eid = successor_eid
         self.queue = WaitingQueue()
         self.known_state = EMPTY_STATE
-        self.last_sent_version = EMPTY_STATE.version
         self.held = set()
         # Indices of workers the next ring round must visit; a Ring
         # replaces this with the set it shares among its workers.
@@ -196,14 +195,13 @@ class PeacockWorker(SlotWorker):
                       ("rotation", probes, self.known_state), now)
         self.sim.counters["rotation_messages"] += 1
         self.sim.counters["probe_hops"] += len(probes)
-        self.last_sent_version = self.known_state.version
 
 
 class Ring:
     """One rotation round per interval.  ``workers[i]`` is the worker with
-    index ``i``; a round visits only the dirty ones, in index order, and
-    each with rotating probes or a fresher shared state than it last sent
-    rotates."""
+    index ``i``; a round rotates the dirty ones, in index order.  A worker
+    is dirty only while it holds rotating probes or a shared state fresher
+    than it last sent, so each of them has something to send."""
 
     def __init__(self, sim, workers):
         self.sim = sim
@@ -216,9 +214,7 @@ class Ring:
     def handle(self, payload, now):
         workers = self.workers
         for i in sorted(self.dirty):
-            w = workers[i]
-            if w.queue.rotating or w.known_state.version > w.last_sent_version:
-                w.rotate(now)
+            workers[i].rotate(now)
         self.dirty.clear()
         sim = self.sim
         if sim.jobs_done < sim.total_jobs:

@@ -156,14 +156,12 @@ def test_eagle_central_places_least_loaded():
     sim = Simulation(SimConfig(workers=3, algo="eagle", net_delay_us=0))
     recorders = [Recorder(sim) for _ in range(3)]
     sched = Recorder(sim)
-    central = EagleCentral(sim, [r.eid for r in recorders], [0, 1, 2])
-    central.handle(("long_stage", ("L", 0), (100 * US, 100 * US), 100 * US,
-                    sched.eid), 0)
+    central = EagleCentral(sim, [r.eid for r in recorders])
+    central.handle(("long_stage", ("L", 0), 2, 100 * US, sched.eid), 0)
     assert central.loads_us == {0: 100 * US, 1: 100 * US, 2: 0}
     central.handle(("long_finish", 0, 100 * US), 5)
-    central.handle(("long_stage", ("M", 0), (50 * US,), 50 * US,
-                    sched.eid), 10)
-    # Workers 0 and 2 tie at load zero; the index tie-break picks 0.
+    central.handle(("long_stage", ("M", 0), 1, 50 * US, sched.eid), 10)
+    # Workers 0 and 2 tie at load zero; the eid tie-break picks 0.
     assert central.loads_us == {0: 50 * US, 1: 100 * US, 2: 0}
     sim.run()
     assert len([m for _, m in recorders[0].inbox if m[0] == "probe"]) == 2
@@ -174,31 +172,30 @@ def test_eagle_central_places_least_loaded():
 def test_eagle_central_matches_least_loaded_scan(data, general):
     # Two thetas and finishes of placed tasks keep loads tying often.
     sim = Simulation(SimConfig(workers=general + 2, algo="eagle"))
-    indices = list(range(2, general + 2))   # after a short partition of 2
-    eids = [Recorder(sim).eid for _ in indices]
-    central = EagleCentral(sim, eids, indices)
-    index_by_eid = dict(zip(eids, indices))
+    for _ in range(2):                      # a short partition first, so
+        Recorder(sim)                       # eids are not list positions
+    eids = [Recorder(sim).eid for _ in range(general)]
+    central = EagleCentral(sim, eids)
     chosen = []
-    sim.send = lambda target, payload, now: chosen.append(index_by_eid[target])
-    loads = {i: 0 for i in indices}
-    running = []                            # (index, theta) not yet finished
+    sim.send = lambda target, payload, now: chosen.append(target)
+    loads = {e: 0 for e in eids}
+    running = []                            # (eid, theta) not yet finished
     for step in range(data.draw(st.integers(1, 40))):
         if running and data.draw(st.booleans()):
-            widx, theta = running.pop(
+            eid, theta = running.pop(
                 data.draw(st.integers(0, len(running) - 1)))
-            central.handle(("long_finish", widx, theta), step)
-            loads[widx] -= theta
+            central.handle(("long_finish", eid, theta), step)
+            loads[eid] -= theta
         else:
             theta = data.draw(st.sampled_from([1, 2]))
             tasks = data.draw(st.integers(1, 3))
-            central.handle(("long_stage", ("J", step), (theta,) * tasks,
-                            theta, 0), step)
+            central.handle(("long_stage", ("J", step), tasks, theta, 0), step)
             expected = []
             for _ in range(tasks):
-                widx = min(loads, key=lambda i: (loads[i], i))
-                loads[widx] += theta
-                expected.append(widx)
-                running.append((widx, theta))
+                eid = min(loads, key=lambda e: (loads[e], e))
+                loads[eid] += theta
+                expected.append(eid)
+                running.append((eid, theta))
             assert chosen == expected
             chosen.clear()
         assert central.loads_us == loads

@@ -106,6 +106,22 @@ def test_trace_with_some_submit_times_missing_is_rejected(tmp_path, capsys):
     assert "job 2 has no submit_us" in captured.err
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("records, pruned", [
+    ([], 0),
+    ([TraceRecord("a", 0, []), TraceRecord("b", 0, [Stage([])])], 2),
+], ids=["empty", "all-pruned"])
+def test_trace_without_valid_jobs_is_rejected(tmp_path, capsys, command,
+                                              records, pruned):
+    trace = tmp_path / "jobs.jsonl"
+    save_trace(records, trace)
+    code = main([command, "--trace", str(trace)] + SMALL)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert ("trace error: %s has no valid jobs (%d pruned)" % (trace, pruned)
+            in captured.err)
+
+
 def test_unknown_algorithm_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--algo", "mystery"])
@@ -136,6 +152,9 @@ def test_unknown_algo_in_compare_list_exits_2(capsys):
     (["run", "--rotation-interval", "0"], "--rotation-interval"),
     (["run", "--net-delay", "inf"], "--net-delay"),
     (["run", "--net-delay", "-0.001"], "--net-delay"),
+    (["run", "--rotation-interval", "1e-9"], "--rotation-interval"),
+    (["run", "--rotation-interval", "4e-7"], "--rotation-interval"),
+    (["run", "--net-delay", "1e303"], "--net-delay"),
 ])
 def test_bad_flag_is_rejected_at_parsing_with_its_name(argv, named, capsys):
     with pytest.raises(SystemExit) as exc:
