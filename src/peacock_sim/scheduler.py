@@ -186,6 +186,9 @@ class PeacockScheduler(Scheduler):
         self.peer_eids = []
         self.probe_count = 0
         self.load_us = 0
+        # The state shared_state last built; its version is (now, sid), so
+        # it stands until the clock moves or the aggregate changes.
+        self._state = None
 
     def handle(self, payload, now):
         if payload[0] == "peer":
@@ -197,12 +200,16 @@ class PeacockScheduler(Scheduler):
     # -- shared state -------------------------------------------------------
 
     def shared_state(self, now):
-        workers = len(self.worker_eids)
-        return SharedState(
-            probe_quota=probe_quota(self.probe_count, workers),
-            load_quota_us=self.load_us // workers,
-            version=(now, self.sid),
-        )
+        """The quotas of the current aggregate, stamped ``(now, sid)``."""
+        state = self._state
+        if state is None or state.version[0] != now:
+            workers = len(self.worker_eids)
+            state = self._state = SharedState(
+                probe_quota=probe_quota(self.probe_count, workers),
+                load_quota_us=self.load_us // workers,
+                version=(now, self.sid),
+            )
+        return state
 
     def change_aggregate(self, dcount, dload_us, now):
         """Apply this scheduler's own aggregate delta and send it to the
@@ -216,6 +223,7 @@ class PeacockScheduler(Scheduler):
         total driven negative is clamped to zero and counted."""
         self.probe_count += dcount
         self.load_us += dload_us
+        self._state = None
         if self.probe_count < 0 or self.load_us < 0:
             self.probe_count = max(0, self.probe_count)
             self.load_us = max(0, self.load_us)

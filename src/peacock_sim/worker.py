@@ -17,6 +17,14 @@ each job's together, to the successor.  A worker that gains rotating
 probes or adopts a fresher shared state adds its index to the ring's dirty
 set.  Both persist until the worker rotates, so a round rotates exactly the
 dirty workers.
+
+A ``rotation`` message carries a list of probes, often empty, and the
+sender's shared state.  The receiver adopts the state only if its version
+is newer, re-trimming its queue only when the queue holds probes, and then
+takes the probes, if any, through the same loop as a fresh ``probe``
+message: a duplicate is a protocol error, a probe that finds the slot idle
+and the queue empty reserves the slot, and the others are enqueued.  A
+sent list is never the sender's live rotating buffer.
 """
 
 from .engine import ProtocolError
@@ -29,7 +37,8 @@ RUNNING = "running"
 
 class SlotWorker:
     """A single execution slot fed from a probe queue.  Subclasses define
-    ``on_probe_arrival`` and ``_pop_queue`` (the next probe, or None)."""
+    ``on_probe_arrival`` and ``_pop_queue`` (the next probe, or None);
+    ``PeacockWorker`` replaces ``handle`` and takes probes in ``accept``."""
 
     def __init__(self, sim, index):
         self.sim = sim
@@ -123,15 +132,15 @@ class PeacockWorker(SlotWorker):
 
     def handle(self, payload, now):
         kind = payload[0]
-        if kind == "probe":
-            _, probe, state = payload
-            self.adopt_shared_state(state)
-            self.on_probe_arrival(probe, now)
-        elif kind == "rotation":
+        if kind == "rotation":
             _, probes, state = payload
             self.adopt_shared_state(state)
-            for probe in probes:
-                self.on_probe_arrival(probe, now)
+            if probes:
+                self.accept(probes, now)
+        elif kind == "probe":
+            _, probe, state = payload
+            self.adopt_shared_state(state)
+            self.accept((probe,), now)
         elif kind == "assign":
             _, probe_key, task_id, duration_us, state = payload
             self.adopt_shared_state(state)
@@ -144,31 +153,45 @@ class PeacockWorker(SlotWorker):
 
     # -- probe handling -----------------------------------------------------
 
-    def on_probe_arrival(self, probe, now):
-        if probe.key in self.held:
-            raise ProtocolError(
-                "worker %d: duplicate probe arrival for %r"
-                % (self.index, probe.key))
-        self.held.add(probe.key)
-        if self.slot == IDLE and not self.queue.entries:
-            self._reserve(probe, now)
-            return
+    def accept(self, probes, now):
+        """Take arriving probes in order.  A probe that finds the slot idle
+        and the queue empty reserves the slot; every other one is enqueued
+        under the known shared state."""
+        held = self.held
+        queue = self.queue
+        state = self.known_state
+        idle = self.slot == IDLE
+        # The slot's remaining runtime; reserving keeps it at 0.
         if self.slot == RUNNING:
             delta = max(0, self.finish_us - now)
         else:
             delta = 0
-        self.queue.enqueue(probe, now, delta, self.known_state)
-        if self.queue.rotating:
+        for probe in probes:
+            key = probe.key
+            if key in held:
+                raise ProtocolError(
+                    "worker %d: duplicate probe arrival for %r"
+                    % (self.index, key))
+            held.add(key)
+            if idle and not queue.entries:
+                self._reserve(probe, now)
+                idle = False
+            else:
+                queue.enqueue(probe, now, delta, state)
+        # Evicted and rejected probes wait in the rotating buffer, still
+        # held, until the next round carries them off.
+        if queue.rotating:
             self.dirty.add(self.index)
-        # Evicted probes are already in the rotating buffer; they stay held
-        # until the next rotation round carries them off.
 
     def adopt_shared_state(self, state):
-        """Adopt a fresher shared state and re-trim the queue to its quotas."""
+        """Adopt a fresher shared state and re-trim the queue to its
+        quotas; return the evicted probes."""
         if state.version <= self.known_state.version:
             return []
         self.known_state = state
         self.dirty.add(self.index)
+        if not self.queue.entries:
+            return []
         return self.queue.trim_to_quota(state)
 
     def _pop_queue(self):
@@ -182,19 +205,30 @@ class PeacockWorker(SlotWorker):
     def rotate(self, now):
         """Send the rotating probes, each job's together in first-seen order,
         and the known shared state to the ring successor."""
-        probes = self.queue.rotating
-        self.queue.rotating = []
-        by_job = {}
-        for p in probes:
-            p.rotations += 1
-            self.held.discard(p.key)
-            by_job.setdefault(p.job_id, []).append(p)
-        if len(by_job) > 1:
-            probes = [p for group in by_job.values() for p in group]
-        self.sim.send(self.successor_eid,
-                      ("rotation", probes, self.known_state), now)
-        self.sim.counters["rotation_messages"] += 1
-        self.sim.counters["probe_hops"] += len(probes)
+        sim = self.sim
+        queue = self.queue
+        probes = queue.rotating
+        if probes:
+            queue.rotating = []
+            held = self.held
+            first_job = probes[0].job_id
+            mixed = False
+            for p in probes:
+                p.rotations += 1
+                held.discard(p.key)
+                if p.job_id != first_job:
+                    mixed = True
+            if mixed:
+                by_job = {}
+                for p in probes:
+                    by_job.setdefault(p.job_id, []).append(p)
+                probes = [p for group in by_job.values() for p in group]
+            sim.counters["probe_hops"] += len(probes)
+        else:
+            probes = []
+        sim.send(self.successor_eid, ("rotation", probes, self.known_state),
+                 now)
+        sim.counters["rotation_messages"] += 1
 
 
 class Ring:

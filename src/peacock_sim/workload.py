@@ -15,6 +15,7 @@ import gzip
 import json
 import math
 import random
+import zlib
 from dataclasses import dataclass, field
 
 from .engine import US_PER_S, derived_rng
@@ -99,57 +100,66 @@ def load_trace(path):
 
     Returns ``(records, dropped)`` where ``dropped`` counts invalid jobs
     that were pruned.  Malformed lines and values of the wrong type are
-    fatal and reported with their line number.
+    fatal and reported with their line number; a file that cannot be
+    opened, decompressed or decoded as UTF-8 is reported with its path.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
+    try:
+        with opener(path, "rt", encoding="utf-8") as fh:
+            return _parse_lines(fh)
+    except (OSError, EOFError, UnicodeDecodeError, zlib.error) as exc:
+        raise TraceError("%s: %s" % (path, exc)) from exc
+
+
+def _parse_lines(lines):
+    """``load_trace`` on the lines of an open trace file."""
     records = []
     dropped = 0
     seen_ids = set()
-    with opener(path, "rt") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceError("line %d: invalid JSON (%s)" % (lineno, exc))
+        try:
+            if "schema" in obj and "id" not in obj:
+                if obj["schema"] != SCHEMA:
+                    raise TraceError("line %d: unsupported schema %r"
+                                     % (lineno, obj["schema"]))
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceError("line %d: invalid JSON (%s)" % (lineno, exc))
-            try:
-                if "schema" in obj and "id" not in obj:
-                    if obj["schema"] != SCHEMA:
-                        raise TraceError("line %d: unsupported schema %r"
-                                         % (lineno, obj["schema"]))
-                    continue
-                record = TraceRecord(
-                    job_id=obj["id"],
-                    submit_us=obj.get("submit_us"),
-                    stages=[Stage(list(s["durations_us"]), list(s.get("deps", [])))
-                            for s in obj["stages"]],
-                )
-                valid = _validate(record) is None
-            except (KeyError, TypeError) as exc:
-                raise TraceError("line %d: bad record (%s)" % (lineno, exc))
-            # Ids are compared as printed: 1 and "1" name the same job.
-            job_id = record.job_id
-            if type(job_id) is str:
-                printed = job_id
-            elif type(job_id) is int:
-                printed = str(job_id)
-            else:
-                raise TraceError("line %d: job id %r is not a string or an "
-                                 "integer" % (lineno, job_id))
-            if printed in seen_ids:
-                raise TraceError("line %d: duplicate job id %r"
-                                 % (lineno, job_id))
-            submit = record.submit_us
-            if submit is not None and (type(submit) is not int or submit < 0):
-                raise TraceError("line %d: submit_us %r is not a non-negative "
-                                 "integer" % (lineno, submit))
-            seen_ids.add(printed)
-            if valid:
-                records.append(record)
-            else:
-                dropped += 1
+            record = TraceRecord(
+                job_id=obj["id"],
+                submit_us=obj.get("submit_us"),
+                stages=[Stage(list(s["durations_us"]), list(s.get("deps", [])))
+                        for s in obj["stages"]],
+            )
+            valid = _validate(record) is None
+        except (KeyError, TypeError) as exc:
+            raise TraceError("line %d: bad record (%s)" % (lineno, exc))
+        # Ids are compared as printed: 1 and "1" name the same job.
+        job_id = record.job_id
+        if type(job_id) is str:
+            printed = job_id
+        elif type(job_id) is int:
+            printed = str(job_id)
+        else:
+            raise TraceError("line %d: job id %r is not a string or an "
+                             "integer" % (lineno, job_id))
+        if printed in seen_ids:
+            raise TraceError("line %d: duplicate job id %r"
+                             % (lineno, job_id))
+        submit = record.submit_us
+        if submit is not None and (type(submit) is not int or submit < 0):
+            raise TraceError("line %d: submit_us %r is not a non-negative "
+                             "integer" % (lineno, submit))
+        seen_ids.add(printed)
+        if valid:
+            records.append(record)
+        else:
+            dropped += 1
     return records, dropped
 
 

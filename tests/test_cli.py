@@ -122,6 +122,23 @@ def test_trace_without_valid_jobs_is_rejected(tmp_path, capsys, command,
             in captured.err)
 
 
+@pytest.mark.parametrize("name, content", [
+    ("missing.jsonl", None),
+    ("latin1.jsonl", b'{"id": "caf\xe9", "stages": []}\n'),
+    ("plain.jsonl.gz", b'{"id": "j", "stages": []}\n'),
+], ids=["missing", "not-utf8", "not-gzip"])
+def test_unreadable_trace_file_is_a_trace_error(tmp_path, capsys, name,
+                                                content):
+    trace = tmp_path / name
+    if content is not None:
+        trace.write_bytes(content)
+    code = main(["run", "--trace", str(trace)] + SMALL)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("trace error: %s: " % trace)
+    assert captured.err.count("\n") == 1
+
+
 def test_unknown_algorithm_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--algo", "mystery"])

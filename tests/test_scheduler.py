@@ -1,6 +1,7 @@
 """Scheduler tests: quota arithmetic, aggregate accounting, peer updates,
 probe placement, dispatch exactly-once, and DAG stage ordering."""
 
+import random
 import statistics
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from peacock_sim.engine import (ProtocolError, SimConfig, Simulation,
                                 SimulationError, derived_rng)
+from peacock_sim.probes import SharedState
 from peacock_sim.scheduler import JobState, PeacockScheduler, mean_us, \
     pick_workers, probe_quota
 from peacock_sim.workload import Stage, TraceRecord
@@ -60,6 +62,36 @@ def test_shared_state_reflects_aggregate():
     assert state.probe_quota == 15
     assert state.load_quota_us == 251_500_000
     assert state.version == (7 * US, 0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_every_shared_state_read_follows_the_current_aggregate(seed):
+    """Reads at one instant may share a state only while the aggregate
+    holds still; peer deltas, admissions and releases all move it."""
+    workers = 7
+    sim, sched, _, _ = make_scheduler(workers=workers, with_peer=True)
+    rng = random.Random(seed)
+    admitted = []
+    now = 0
+    for step in range(300):
+        if rng.random() < 0.3:
+            now += rng.randrange(1, 3)
+        action = rng.randrange(3)
+        if action == 0:
+            sched.handle(("peer", rng.randrange(-3, 6),
+                          rng.randrange(-5, 10) * US), now)
+        elif action == 1:
+            record = job("j%d" % step,
+                         [rng.randrange(1, 9)
+                          for _ in range(rng.randrange(1, 4))], now)
+            sched.on_job_arrival(record, now)
+            admitted.append(sched.jobs[record.job_id])
+        elif admitted:
+            sched.release(rng.choice(admitted), 0, now)
+        for _ in range(rng.randrange(1, 4)):
+            assert sched.shared_state(now) == SharedState(
+                probe_quota(sched.probe_count, workers),
+                sched.load_us // workers, (now, sched.sid))
 
 
 # -- aggregate accounting ----------------------------------------------------

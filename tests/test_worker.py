@@ -4,7 +4,7 @@ shared-state adoption, and the task lifecycle."""
 import pytest
 
 from peacock_sim.engine import ProtocolError, SimConfig, Simulation
-from peacock_sim.probes import Probe, SharedState
+from peacock_sim.probes import Probe, SharedState, WaitingQueue
 from peacock_sim.worker import IDLE, RESERVED, RUNNING, PeacockWorker, Ring
 
 US = 1_000_000
@@ -151,6 +151,86 @@ def test_ring_round_sends_only_from_workers_with_probes_or_news_in_order():
     drain(sim)
     assert [(sent, carried.version) for _, (_, sent, carried) in sink.inbox] \
         == [([p], (0, 0)), ([], (2 * US, 0))]
+
+
+def count_trims(monkeypatch):
+    """Count WaitingQueue.trim_to_quota calls from here on."""
+    calls = []
+    trim = WaitingQueue.trim_to_quota
+
+    def counting(queue, state):
+        calls.append(state)
+        return trim(queue, state)
+    monkeypatch.setattr(WaitingQueue, "trim_to_quota", counting)
+    return calls
+
+
+@pytest.mark.parametrize("version", [(2 * US, 0), (1 * US, 1)],
+                         ids=["same", "older"])
+def test_rotation_with_stale_state_changes_nothing(monkeypatch, version):
+    sim, worker, sched, _ = make_worker()
+    run_busy(worker, sched)
+    known = state(10, 10_000, version=(2 * US, 0))
+    queued = [probe("j", task=t, mu=10_000, scheduler=sched.eid)
+              for t in range(3)]
+    for p in queued:
+        worker.handle(("probe", p, known), 10 * US)
+    before = list(worker.queue.entries)
+    assert len(before) == 3
+    worker.dirty.clear()
+    trims = count_trims(monkeypatch)
+    worker.handle(("rotation", [], state(1, 1, version=version)), 11 * US)
+    assert worker.known_state is known
+    assert worker.queue.entries == before and worker.queue.rotating == []
+    assert trims == [] and worker.dirty == set()
+
+
+def test_fresher_state_on_empty_queue_marks_dirty_without_trim(monkeypatch):
+    sim, worker, _, _ = make_worker()
+    trims = count_trims(monkeypatch)
+    fresh = state(5, 100, version=(3 * US, 0))
+    worker.handle(("rotation", [], fresh), 4 * US)
+    assert worker.known_state is fresh
+    assert worker.dirty == {worker.index}
+    assert trims == []
+
+
+@pytest.mark.parametrize("buffered", [0, 1], ids=["empty", "one-probe"])
+def test_sent_rotation_list_is_not_the_live_buffer(buffered):
+    sim, worker, sched, successor = make_worker()
+    run_busy(worker, sched)
+    tight = state(1, 10_000, version=(1 * US, 0))
+    first = [probe("a", task=t, scheduler=sched.eid) for t in range(buffered)]
+    for p in first:
+        worker.handle(("probe", p, tight), 10 * US)
+    worker.rotate(11 * US)
+    # A probe bounced into the buffer after the send, before delivery.
+    late = probe("b", scheduler=sched.eid)
+    worker.handle(("probe", late, tight), 11 * US)
+    assert worker.queue.rotating == [late]
+    drain(sim)
+    ((_, (_kind, sent, _state)),) = successor.inbox
+    assert sent == first
+    assert sent is not worker.queue.rotating
+
+
+@pytest.mark.parametrize("buffer, sent_order", [
+    (("b0", "a0", "b1", "a1", "b2"), ("b0", "b1", "b2", "a0", "a1")),
+    (("a2", "a0", "a1"), ("a2", "a0", "a1")),
+], ids=["two-jobs", "one-job"])
+def test_rotate_groups_by_job_in_first_seen_order(buffer, sent_order):
+    sim, worker, sched, successor = make_worker()
+    run_busy(worker, sched)
+    by_name = {name: probe(name[0], task=int(name[1]), scheduler=sched.eid)
+               for name in buffer}
+    for name in buffer:
+        worker.handle(("probe", by_name[name], state(1, 10_000)), 10 * US)
+    assert worker.queue.rotating == [by_name[n] for n in buffer]
+    worker.rotate(11 * US)
+    drain(sim)
+    ((_, (_kind, sent, _state)),) = successor.inbox
+    assert len(sent) == len(sent_order)
+    assert all(got is by_name[n] for got, n in zip(sent, sent_order))
 
 
 class JobFinisher:
