@@ -83,6 +83,8 @@ class Simulation:
 
     def __init__(self, config: SimConfig):
         self.config = config
+        # Read once: every send adds it.
+        self.net_delay_us = config.net_delay_us
         self.now = 0
         self._heap = []
         self._seq = 0
@@ -124,7 +126,7 @@ class Simulation:
         if not 0 <= target < len(self.entities):
             raise SimulationError("send to unknown entity %r" % target)
         self.counters["messages"] += 1
-        self.schedule_at(now_us + self.config.net_delay_us, target, payload)
+        self.schedule_at(now_us + self.net_delay_us, target, payload)
 
     def run(self):
         """Process events in (time, seq) order until the queue drains;
@@ -132,7 +134,7 @@ class Simulation:
         heap = self._heap
         entities = self.entities
         cap = self.config.event_cap
-        delay = self.config.net_delay_us
+        delay = self.net_delay_us
         processed = 0
         try:
             while heap:

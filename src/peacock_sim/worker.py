@@ -23,8 +23,9 @@ sender's shared state.  The receiver adopts the state only if its version
 is newer, re-trimming its queue only when the queue holds probes, and then
 takes the probes, if any, through the same loop as a fresh ``probe``
 message: a duplicate is a protocol error, a probe that finds the slot idle
-and the queue empty reserves the slot, and the others are enqueued.  A
-sent list is never the sender's live rotating buffer.
+and the queue empty reserves the slot, and the others are enqueued.  The
+sent probes are never the sender's live rotating buffer: an empty buffer
+is sent as an empty tuple.
 """
 
 from .engine import ProtocolError
@@ -204,7 +205,8 @@ class PeacockWorker(SlotWorker):
 
     def rotate(self, now):
         """Send the rotating probes, each job's together in first-seen order,
-        and the known shared state to the ring successor."""
+        and the known shared state to the ring successor.  The ring counts
+        the message."""
         sim = self.sim
         queue = self.queue
         probes = queue.rotating
@@ -225,17 +227,17 @@ class PeacockWorker(SlotWorker):
                 probes = [p for group in by_job.values() for p in group]
             sim.counters["probe_hops"] += len(probes)
         else:
-            probes = []
+            probes = ()
         sim.send(self.successor_eid, ("rotation", probes, self.known_state),
                  now)
-        sim.counters["rotation_messages"] += 1
 
 
 class Ring:
     """One rotation round per interval.  ``workers[i]`` is the worker with
     index ``i``; a round rotates the dirty ones, in index order.  A worker
     is dirty only while it holds rotating probes or a shared state fresher
-    than it last sent, so each of them has something to send."""
+    than it last sent, so each of them has something to send.  A round
+    counts its messages once, in ``rotation_messages``."""
 
     def __init__(self, sim, workers):
         self.sim = sim
@@ -247,10 +249,12 @@ class Ring:
 
     def handle(self, payload, now):
         workers = self.workers
-        for i in sorted(self.dirty):
+        dirty = self.dirty
+        for i in sorted(dirty):
             workers[i].rotate(now)
-        self.dirty.clear()
         sim = self.sim
+        sim.counters["rotation_messages"] += len(dirty)
+        dirty.clear()
         if sim.jobs_done < sim.total_jobs:
             sim.schedule_at(now + sim.config.rotation_interval_us, self.eid,
                             ("round",))

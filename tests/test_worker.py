@@ -127,7 +127,7 @@ def test_rotation_sends_on_state_news_alone():
     drain(sim)
     assert len(successor.inbox) == 1
     _, (_kind, sent, carried) = successor.inbox[0]
-    assert sent == []
+    assert sent == ()
     assert carried.version == (2 * US, 0)
     # A second round with no further news stays quiet.
     ring.handle(("round",), 4 * US)
@@ -150,7 +150,8 @@ def test_ring_round_sends_only_from_workers_with_probes_or_news_in_order():
     ring.handle(("round",), 3 * US)
     drain(sim)
     assert [(sent, carried.version) for _, (_, sent, carried) in sink.inbox] \
-        == [([p], (0, 0)), ([], (2 * US, 0))]
+        == [([p], (0, 0)), ((), (2 * US, 0))]
+    assert sim.counters["rotation_messages"] == 2
 
 
 def count_trims(monkeypatch):
@@ -196,7 +197,7 @@ def test_fresher_state_on_empty_queue_marks_dirty_without_trim(monkeypatch):
 
 
 @pytest.mark.parametrize("buffered", [0, 1], ids=["empty", "one-probe"])
-def test_sent_rotation_list_is_not_the_live_buffer(buffered):
+def test_sent_rotation_probes_are_not_the_live_buffer(buffered):
     sim, worker, sched, successor = make_worker()
     run_busy(worker, sched)
     tight = state(1, 10_000, version=(1 * US, 0))
@@ -210,7 +211,7 @@ def test_sent_rotation_list_is_not_the_live_buffer(buffered):
     assert worker.queue.rotating == [late]
     drain(sim)
     ((_, (_kind, sent, _state)),) = successor.inbox
-    assert sent == first
+    assert sent == (first or ())
     assert sent is not worker.queue.rotating
 
 
