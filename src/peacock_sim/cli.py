@@ -11,8 +11,8 @@ import sys
 from .driver import run_simulation
 from .engine import ALGOS, SimConfig, SimulationError, US_PER_S, derived_rng
 from .metrics import fraction_faster, summarize
-from .workload import (SyntheticSpec, TraceError, generate, load_trace,
-                       mean_interarrival_us)
+from .workload import (LoadError, SyntheticSpec, TraceError, generate,
+                       load_trace, mean_interarrival_us)
 
 REPORT_SCHEMA = "peacock-report-1"
 
@@ -47,11 +47,14 @@ def whole_us(least):
 
 def algo_list(text):
     algos = [a.strip() for a in text.split(",") if a.strip()]
-    for algo in algos:
+    for i, algo in enumerate(algos):
         if algo not in ALGOS:
             raise argparse.ArgumentTypeError(
                 "unknown algorithm %r (choose from %s)"
                 % (algo, ", ".join(ALGOS)))
+        if algo in algos[:i]:
+            raise argparse.ArgumentTypeError(
+                "algorithm %r given more than once" % algo)
     if not algos:
         raise argparse.ArgumentTypeError("no algorithm given")
     return algos
@@ -248,6 +251,10 @@ def main(argv=None):
     except TraceError as exc:
         print("trace error: %s" % exc, file=sys.stderr)
         return 1
+    except LoadError as exc:
+        print("%s: error: argument --load: %s" % (parser.prog, exc),
+              file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

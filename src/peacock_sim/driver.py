@@ -22,11 +22,7 @@ class RunResult:
 
 
 def _build_peacock(sim, config):
-    W = config.workers
-    # First: successor_eid names worker i + 1 by its eid, so worker i must
-    # be entity i.
-    workers = [PeacockWorker(sim, i, successor_eid=(i + 1) % W)
-               for i in range(W)]
+    workers = [PeacockWorker(sim, i) for i in range(config.workers)]
     worker_eids = [w.eid for w in workers]
     schedulers = [PeacockScheduler(sim, s, worker_eids,
                                    derived_rng(config.seed, "scheduler", s))

@@ -2,6 +2,8 @@
 
 import bisect
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from .engine import US_PER_S
 
@@ -76,7 +78,9 @@ def summarize(records, counters, workers):
     if not records:
         return None
     jcts = sorted(r.jct_us / US_PER_S for r in records)
-    ajct = sum(jcts) / len(jcts)
+    # Added left to right, as sum() did before Python 3.12 made it
+    # compensated: the report's bytes must not depend on the Python version.
+    ajct = reduce(add, jcts, 0.0) / len(jcts)
     pcts = {q: percentile(jcts, q) for q in (50, 70, 90, 99)}
 
     cdf = []

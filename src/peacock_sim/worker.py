@@ -15,17 +15,21 @@ remaining runtime of zero while the slot is reserved.  Probes marked for
 rotation wait in the rotating buffer until the next ring round hands them,
 each job's together, to the successor.  A worker that gains rotating
 probes or adopts a fresher shared state adds its index to the ring's dirty
-set.  Both persist until the worker rotates, so a round rotates exactly the
+set.  Both persist until the next round, so a round visits exactly the
 dirty workers.
 
-A ``rotation`` message carries a list of probes, often empty, and the
-sender's shared state.  The receiver adopts the state only if its version
-is newer, re-trimming its queue only when the queue holds probes, and then
-takes the probes, if any, through the same loop as a fresh ``probe``
-message: a duplicate is a protocol error, a probe that finds the slot idle
-and the queue empty reserves the slot, and the others are enqueued.  The
-sent probes are never the sender's live rotating buffer: an empty buffer
-is sent as an empty tuple.
+A round sends one rotation message from each dirty worker to its
+successor, but not through the engine: the ring delivers them all in one
+``handoff`` event of its own, a network delay later, where the messages
+would have landed.  The event holds one item per message, in index order:
+the successor, the handed-off probes (the empty tuple for news of state
+alone) and the sender's shared state.  For each item the successor adopts
+the state only if its version is newer, re-trimming its queue only when
+the queue holds probes, and then takes the probes, if any, through the
+same loop as a fresh ``probe`` message: a duplicate is a protocol error, a
+probe that finds the slot idle and the queue empty reserves the slot, and
+the others are enqueued.  The handed-off probes are never the sender's
+live rotating buffer.  Each item counts as one network message.
 """
 
 from .engine import ProtocolError
@@ -119,9 +123,8 @@ class PeacockWorker(SlotWorker):
     """One ring node: elastic queue, single execution slot, rotating buffer.
     Every message it receives but ``complete`` carries a shared state."""
 
-    def __init__(self, sim, index, successor_eid):
+    def __init__(self, sim, index):
         super().__init__(sim, index)
-        self.successor_eid = successor_eid
         self.queue = WaitingQueue()
         self.known_state = EMPTY_STATE
         self.held = set()
@@ -133,12 +136,7 @@ class PeacockWorker(SlotWorker):
 
     def handle(self, payload, now):
         kind = payload[0]
-        if kind == "rotation":
-            _, probes, state = payload
-            self.adopt_shared_state(state)
-            if probes:
-                self.accept(probes, now)
-        elif kind == "probe":
+        if kind == "probe":
             _, probe, state = payload
             self.adopt_shared_state(state)
             self.accept((probe,), now)
@@ -203,41 +201,37 @@ class PeacockWorker(SlotWorker):
 
     # -- rotation rounds ----------------------------------------------------
 
-    def rotate(self, now):
-        """Send the rotating probes, each job's together in first-seen order,
-        and the known shared state to the ring successor.  The ring counts
-        the message."""
-        sim = self.sim
+    def rotate(self):
+        """Empty the rotating buffer, which must not be empty, and return
+        its probes, each job's together in first-seen order."""
         queue = self.queue
         probes = queue.rotating
-        if probes:
-            queue.rotating = []
-            held = self.held
-            first_job = probes[0].job_id
-            mixed = False
+        queue.rotating = []
+        held = self.held
+        first_job = probes[0].job_id
+        mixed = False
+        for p in probes:
+            p.rotations += 1
+            held.discard(p.key)
+            if p.job_id != first_job:
+                mixed = True
+        if mixed:
+            by_job = {}
             for p in probes:
-                p.rotations += 1
-                held.discard(p.key)
-                if p.job_id != first_job:
-                    mixed = True
-            if mixed:
-                by_job = {}
-                for p in probes:
-                    by_job.setdefault(p.job_id, []).append(p)
-                probes = [p for group in by_job.values() for p in group]
-            sim.counters["probe_hops"] += len(probes)
-        else:
-            probes = ()
-        sim.send(self.successor_eid, ("rotation", probes, self.known_state),
-                 now)
+                by_job.setdefault(p.job_id, []).append(p)
+            probes = [p for group in by_job.values() for p in group]
+        self.sim.counters["probe_hops"] += len(probes)
+        return probes
 
 
 class Ring:
     """One rotation round per interval.  ``workers[i]`` is the worker with
-    index ``i``; a round rotates the dirty ones, in index order.  A worker
-    is dirty only while it holds rotating probes or a shared state fresher
-    than it last sent, so each of them has something to send.  A round
-    counts its messages once, in ``rotation_messages``."""
+    index ``i`` and ``workers[(i + 1) % W]`` its successor; a round rotates
+    the dirty ones, in index order.  A worker is dirty only while it holds
+    rotating probes or a shared state fresher than it last sent, so each of
+    them has something to send.  A round counts its messages once, in
+    ``messages`` and ``rotation_messages``, and hands them over in one
+    ``handoff`` event a network delay later."""
 
     def __init__(self, sim, workers):
         self.sim = sim
@@ -248,13 +242,29 @@ class Ring:
             w.dirty = self.dirty
 
     def handle(self, payload, now):
+        if payload[0] == "handoff":
+            for successor, probes, state in payload[1]:
+                successor.adopt_shared_state(state)
+                if probes:
+                    successor.accept(probes, now)
+            return
         workers = self.workers
+        count = len(workers)
         dirty = self.dirty
-        for i in sorted(dirty):
-            workers[i].rotate(now)
         sim = self.sim
-        sim.counters["rotation_messages"] += len(dirty)
-        dirty.clear()
+        if dirty:
+            items = []
+            for i in sorted(dirty):
+                w = workers[i]
+                items.append((workers[(i + 1) % count],
+                              w.rotate() if w.queue.rotating else (),
+                              w.known_state))
+            dirty.clear()
+            counters = sim.counters
+            counters["messages"] += len(items)
+            counters["rotation_messages"] += len(items)
+            sim.schedule_at(now + sim.net_delay_us, self.eid,
+                            ("handoff", items))
         if sim.jobs_done < sim.total_jobs:
             sim.schedule_at(now + sim.config.rotation_interval_us, self.eid,
                             ("round",))

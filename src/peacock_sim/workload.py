@@ -27,6 +27,10 @@ class TraceError(ValueError):
     """Malformed trace file."""
 
 
+class LoadError(ValueError):
+    """A target load that gives no positive, finite mean arrival gap."""
+
+
 @dataclass
 class Stage:
     durations_us: list
@@ -181,7 +185,12 @@ def mean_interarrival_us(load, workers, mean_tasks, mean_duration_us):
     cluster capacity (``workers`` single-slot workers)."""
     if load <= 0 or workers < 1 or mean_tasks <= 0 or mean_duration_us <= 0:
         raise ValueError("all calibration inputs must be positive")
-    return mean_tasks * mean_duration_us / (load * workers)
+    gap = mean_tasks * mean_duration_us / (load * workers)
+    if not (gap > 0 and math.isfinite(gap)):
+        raise LoadError("load %r on %d workers gives a mean inter-arrival "
+                        "gap of %r us, which is not positive and finite"
+                        % (load, workers, gap))
+    return gap
 
 
 @dataclass

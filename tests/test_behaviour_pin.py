@@ -54,9 +54,12 @@ def records():
 @pytest.mark.parametrize("net_delay_us, expected", [
     (5_000, "4607719558fb2d54"),
     (0, "2c456cdb63231197"),
-    # Equal to the rotation interval: a round's rotation messages land at
-    # the same instant as the next round, and must be delivered before it.
+    # Equal to the rotation interval: a round's handoff lands at the same
+    # instant as the next round, and must be delivered before it.
     (US, "f9977515b7cb5462"),
+    # Twice the interval: a round's handoff lands at the same instant as
+    # the round after next, and must be delivered before it.
+    (2 * US, "ee537fa444480c32"),
 ])
 def test_peacock_report_digest_is_pinned(records, net_delay_us, expected):
     result = driver.run_simulation(
@@ -149,8 +152,8 @@ SLOT_KINDS = {"probe", "assign", "cancel", "complete"}
 SCHEDULER_KINDS = {"job", "task_request", "task_finish"}
 ENTITY_KINDS = {
     "peacock": {
-        (WORKER, "PeacockWorker"): {"probe", "rotation", "assign", "complete"},
-        (WORKER, "Ring"): {"round"},
+        (WORKER, "PeacockWorker"): {"probe", "assign", "complete"},
+        (WORKER, "Ring"): {"round", "handoff"},
         (SCHEDULER, "PeacockScheduler"): SCHEDULER_KINDS | {"peer"},
     },
     "sparrow": {

@@ -172,6 +172,7 @@ def test_unknown_algo_in_compare_list_exits_2(capsys):
     (["run", "--rotation-interval", "1e-9"], "--rotation-interval"),
     (["run", "--rotation-interval", "4e-7"], "--rotation-interval"),
     (["run", "--net-delay", "1e303"], "--net-delay"),
+    (["compare", "--algos", "peacock,peacock"], "--algos"),
 ])
 def test_bad_flag_is_rejected_at_parsing_with_its_name(argv, named, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -179,6 +180,26 @@ def test_bad_flag_is_rejected_at_parsing_with_its_name(argv, named, capsys):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert named in captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("use_trace", [False, True],
+                         ids=["synthetic", "trace-arrivals"])
+def test_load_that_overflows_with_the_worker_count_is_rejected(
+        tmp_path, capsys, command, use_trace):
+    # 1e308 is finite, but 1e308 * 2 workers is not: the mean arrival gap
+    # would be 0.0 us.
+    argv = [command, "--jobs", "2", "--workers", "2", "--load", "1e308"]
+    if use_trace:
+        trace = tmp_path / "jobs.jsonl"
+        save_trace([TraceRecord(i, None, [Stage([US])]) for i in range(2)],
+                   trace)
+        argv += ["--trace", str(trace)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("peacock-sim: error: argument --load: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_console_entry_point_runs():

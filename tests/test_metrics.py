@@ -40,6 +40,16 @@ def test_summary_of_three_simple_jobs():
     assert report.utilization == 45 / 90
 
 
+def test_ajct_adds_left_to_right_on_every_python_version():
+    # 0.1 + 0.2 + 0.3 is 0.6000000000000001 added left to right, but 0.6
+    # under the compensated sum() of Python 3.12 and later.
+    records = [JobRecord(name, 0, 0, us)
+               for name, us in (("a", 100_000), ("b", 200_000),
+                                ("c", 300_000))]
+    report = summarize(records, {}, workers=1)
+    assert report.ajct_s == (0.1 + 0.2 + 0.3) / 3
+
+
 def test_summary_spreadsheet_oracle():
     # Five jobs worked out by hand: JCTs 4, 6, 6, 10, 24 seconds.
     records = [rec("a", 1, 5, [0]), rec("b", 2, 8, [1, 0]),

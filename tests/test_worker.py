@@ -28,12 +28,29 @@ def drain(sim):
 
 
 def make_worker(schedulers=1):
-    sim = Simulation(SimConfig(workers=1, schedulers=schedulers,
+    """Worker 0 of a two-worker ring; ``ring.workers[1]`` is its
+    successor."""
+    sim = Simulation(SimConfig(workers=2, schedulers=schedulers,
                                net_delay_us=5_000))
     sched = Recorder(sim)
-    successor = Recorder(sim)
-    worker = PeacockWorker(sim, 0, successor_eid=successor.eid)
-    return sim, worker, sched, successor
+    workers = [PeacockWorker(sim, i) for i in range(2)]
+    ring = Ring(sim, workers)
+    return sim, workers[0], sched, ring
+
+
+def record_handoffs(ring):
+    """Log each handoff the ring delivers, as (now, [(successor index,
+    probes, state), ...]), before delivering it."""
+    log = []
+    handle = ring.handle
+
+    def recording(payload, now):
+        if payload[0] == "handoff":
+            log.append((now, [(successor.index, probes, carried)
+                              for successor, probes, carried in payload[1]]))
+        return handle(payload, now)
+    ring.handle = recording
+    return log
 
 
 def state(phi, omega_s, version=(0, 0)):
@@ -94,14 +111,16 @@ def test_duplicate_probe_arrival_is_protocol_violation():
 
 
 def test_rotation_round_without_work_or_news_sends_nothing():
-    sim, worker, _, successor = make_worker()
-    Ring(sim, [worker]).handle(("round",), 1 * US)
-    drain(sim)
-    assert successor.inbox == []
+    sim, _, _, ring = make_worker()
+    ring.handle(("round",), 1 * US)
+    assert sim.run() == 0
+    assert sim.counters["messages"] == sim.counters["rotation_messages"] == 0
 
 
 def test_rotate_sends_each_jobs_probes_together_as_the_same_objects():
-    sim, worker, sched, successor = make_worker()
+    sim, worker, sched, ring = make_worker()
+    successor = ring.workers[1]
+    log = record_handoffs(ring)
     run_busy(worker, sched)
     a0, b0, a1 = (probe(job, task=task, scheduler=sched.eid)
                   for job, task in (("a", 0), ("b", 0), ("a", 1)))
@@ -109,49 +128,60 @@ def test_rotate_sends_each_jobs_probes_together_as_the_same_objects():
     for p in (a0, b0, a1):
         worker.handle(("probe", p, s), 10 * US)
     assert worker.queue.rotating == [a0, b0, a1]
-    worker.rotate(11 * US)
+    ring.handle(("round",), 11 * US)
     assert worker.queue.rotating == [] and worker.held == set()
     drain(sim)
-    ((_, (kind, sent, carried)),) = successor.inbox
-    assert kind == "rotation" and carried is s
+    # One handoff, a network delay after the round, with one message.
+    ((at, ((to, sent, carried),)),) = log
+    assert at == 11 * US + 5_000 and to == successor.index
+    assert carried is s and successor.known_state is s
     assert len(sent) == 3
     assert all(got is want for got, want in zip(sent, (a0, a1, b0)))
     assert [p.rotations for p in sent] == [1, 1, 1]
+    # The idle successor reserved its slot for the first and took the rest.
+    assert successor.reserved_probe is a0
+    assert successor.held == {a0.key, a1.key, b0.key}
 
 
 def test_rotation_sends_on_state_news_alone():
-    sim, worker, _, successor = make_worker()
-    ring = Ring(sim, [worker])
+    sim, worker, _, ring = make_worker()
+    log = record_handoffs(ring)
     worker.adopt_shared_state(state(5, 100, version=(2 * US, 0)))
     ring.handle(("round",), 3 * US)
     drain(sim)
-    assert len(successor.inbox) == 1
-    _, (_kind, sent, carried) = successor.inbox[0]
+    ((_, ((_to, sent, carried),)),) = log
     assert sent == ()
     assert carried.version == (2 * US, 0)
-    # A second round with no further news stays quiet.
+    assert ring.workers[1].known_state is carried
+    # The successor adopted fresh news, so it alone sends next round.
     ring.handle(("round",), 4 * US)
     drain(sim)
-    assert len(successor.inbox) == 1
+    assert [(to, sent) for _, items in log[1:] for to, sent, _ in items] \
+        == [(0, ())]
+    # A third round with no further news stays quiet.
+    ring.handle(("round",), 5 * US)
+    drain(sim)
+    assert len(log) == 2
 
 
 def test_ring_round_sends_only_from_workers_with_probes_or_news_in_order():
     sim = Simulation(SimConfig(workers=4, net_delay_us=5_000))
     sched = Recorder(sim)
-    sink = Recorder(sim)
-    workers = [PeacockWorker(sim, i, successor_eid=sink.eid)
-               for i in range(4)]
+    workers = [PeacockWorker(sim, i) for i in range(4)]
     ring = Ring(sim, workers)
+    log = record_handoffs(ring)
     workers[3].adopt_shared_state(state(5, 100, version=(2 * US, 0)))
     run_busy(workers[1], sched)
     p = probe("j", scheduler=sched.eid)
     workers[1].handle(("probe", p, state(1, 10_000)), 1 * US)
     assert workers[1].queue.rotating == [p]
     ring.handle(("round",), 3 * US)
+    assert sim.counters["messages"] == sim.counters["rotation_messages"] == 2
     drain(sim)
-    assert [(sent, carried.version) for _, (_, sent, carried) in sink.inbox] \
-        == [([p], (0, 0)), ((), (2 * US, 0))]
-    assert sim.counters["rotation_messages"] == 2
+    ((_, items),) = log
+    # Worker 1 hands p to worker 2; worker 3 wraps round to worker 0.
+    assert [(to, sent, carried.version) for to, sent, carried in items] \
+        == [(2, [p], (0, 0)), (0, (), (2 * US, 0))]
 
 
 def count_trims(monkeypatch):
@@ -169,7 +199,7 @@ def count_trims(monkeypatch):
 @pytest.mark.parametrize("version", [(2 * US, 0), (1 * US, 1)],
                          ids=["same", "older"])
 def test_rotation_with_stale_state_changes_nothing(monkeypatch, version):
-    sim, worker, sched, _ = make_worker()
+    sim, worker, sched, ring = make_worker()
     run_busy(worker, sched)
     known = state(10, 10_000, version=(2 * US, 0))
     queued = [probe("j", task=t, mu=10_000, scheduler=sched.eid)
@@ -180,17 +210,18 @@ def test_rotation_with_stale_state_changes_nothing(monkeypatch, version):
     assert len(before) == 3
     worker.dirty.clear()
     trims = count_trims(monkeypatch)
-    worker.handle(("rotation", [], state(1, 1, version=version)), 11 * US)
+    ring.handle(("handoff", [(worker, (), state(1, 1, version=version))]),
+                11 * US)
     assert worker.known_state is known
     assert worker.queue.entries == before and worker.queue.rotating == []
     assert trims == [] and worker.dirty == set()
 
 
 def test_fresher_state_on_empty_queue_marks_dirty_without_trim(monkeypatch):
-    sim, worker, _, _ = make_worker()
+    sim, worker, _, ring = make_worker()
     trims = count_trims(monkeypatch)
     fresh = state(5, 100, version=(3 * US, 0))
-    worker.handle(("rotation", [], fresh), 4 * US)
+    ring.handle(("handoff", [(worker, (), fresh)]), 4 * US)
     assert worker.known_state is fresh
     assert worker.dirty == {worker.index}
     assert trims == []
@@ -198,19 +229,22 @@ def test_fresher_state_on_empty_queue_marks_dirty_without_trim(monkeypatch):
 
 @pytest.mark.parametrize("buffered", [0, 1], ids=["empty", "one-probe"])
 def test_sent_rotation_probes_are_not_the_live_buffer(buffered):
-    sim, worker, sched, successor = make_worker()
+    sim, worker, sched, ring = make_worker()
+    log = record_handoffs(ring)
     run_busy(worker, sched)
     tight = state(1, 10_000, version=(1 * US, 0))
+    # Fresh news makes the worker send even with an empty buffer.
+    worker.adopt_shared_state(tight)
     first = [probe("a", task=t, scheduler=sched.eid) for t in range(buffered)]
     for p in first:
         worker.handle(("probe", p, tight), 10 * US)
-    worker.rotate(11 * US)
+    ring.handle(("round",), 11 * US)
     # A probe bounced into the buffer after the send, before delivery.
     late = probe("b", scheduler=sched.eid)
     worker.handle(("probe", late, tight), 11 * US)
     assert worker.queue.rotating == [late]
     drain(sim)
-    ((_, (_kind, sent, _state)),) = successor.inbox
+    ((_, ((_to, sent, _state),)),) = log
     assert sent == (first or ())
     assert sent is not worker.queue.rotating
 
@@ -220,16 +254,16 @@ def test_sent_rotation_probes_are_not_the_live_buffer(buffered):
     (("a2", "a0", "a1"), ("a2", "a0", "a1")),
 ], ids=["two-jobs", "one-job"])
 def test_rotate_groups_by_job_in_first_seen_order(buffer, sent_order):
-    sim, worker, sched, successor = make_worker()
+    sim, worker, sched, _ = make_worker()
     run_busy(worker, sched)
     by_name = {name: probe(name[0], task=int(name[1]), scheduler=sched.eid)
                for name in buffer}
     for name in buffer:
         worker.handle(("probe", by_name[name], state(1, 10_000)), 10 * US)
     assert worker.queue.rotating == [by_name[n] for n in buffer]
-    worker.rotate(11 * US)
-    drain(sim)
-    ((_, (_kind, sent, _state)),) = successor.inbox
+    sent = worker.rotate()
+    assert worker.queue.rotating == [] and worker.held == set()
+    assert sim.counters["probe_hops"] == len(buffer)
     assert len(sent) == len(sent_order)
     assert all(got is by_name[n] for got, n in zip(sent, sent_order))
 
@@ -246,9 +280,8 @@ class JobFinisher:
 
 
 def test_ring_stops_rearming_once_all_jobs_are_done():
-    sim, worker, _, _ = make_worker()
+    sim, _, _, ring = make_worker()
     interval = sim.config.rotation_interval_us
-    ring = Ring(sim, [worker])
     finisher = JobFinisher(sim)
     sim.total_jobs = 1
     sim.schedule_at(interval, ring.eid, ("round",))

@@ -7,9 +7,10 @@ import math
 
 import pytest
 
-from peacock_sim.workload import (SCHEMA, Stage, SyntheticSpec, TraceError,
-                                  TraceRecord, generate, load_trace,
-                                  mean_interarrival_us, save_trace)
+from peacock_sim.workload import (SCHEMA, LoadError, Stage, SyntheticSpec,
+                                  TraceError, TraceRecord, generate,
+                                  load_trace, mean_interarrival_us,
+                                  save_trace)
 
 US = 1_000_000
 
@@ -141,6 +142,11 @@ def test_mean_interarrival_rejects_bad_inputs():
         mean_interarrival_us(0, 100, 10, US)
     with pytest.raises(ValueError):
         mean_interarrival_us(0.5, 0, 10, US)
+    # 1e308 * 2 workers is inf, so the gap would be 0.0 us.
+    with pytest.raises(LoadError, match="gap of 0.0 us"):
+        mean_interarrival_us(1e308, 2, 8, 2 * US)
+    with pytest.raises(LoadError, match="gap of nan us"):
+        mean_interarrival_us(math.nan, 2, 8, 2 * US)
 
 
 # -- synthetic generation ----------------------------------------------------
