@@ -160,16 +160,17 @@ class SparrowScheduler(Scheduler):
     """Batch sampling with late binding."""
 
     def submit_stage(self, job, stage_idx, now):
-        n = len(job.record.stages[stage_idx].durations_us)
-        count = PROBE_RATIO * n
-        targets = pick_workers(self.rng, len(self.worker_eids), count)
+        count = PROBE_RATIO * len(job.record.stages[stage_idx].durations_us)
+        workers = self.workers
+        job_key = (job.record.job_id, stage_idx)
+        theta = job.thetas[stage_idx]
+        eid = self.eid
+        targets = pick_workers(self.rng, len(workers), count)
         self.sim.counters["probes_created"] += count
-        for i, widx in enumerate(targets):
-            probe = Probe(job_id=(job.record.job_id, stage_idx),
-                          task_id=("probe", i), arrival_us=now,
-                          runtime_us=job.thetas[stage_idx], allowance_us=0,
-                          scheduler=self.eid)
-            self.sim.send(self.worker_eids[widx], ("probe", probe), now)
+        # Probe(job, task, arrival, runtime estimate, allowance, scheduler)
+        self.fan_out([(workers[w], ("probe", Probe(job_key, ("probe", i), now,
+                                                   theta, 0, eid)))
+                      for i, w in enumerate(targets)], now)
 
     def bind(self, job, stage_idx, probe):
         task_id = job.pool_next[stage_idx]

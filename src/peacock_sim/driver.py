@@ -75,16 +75,27 @@ def run_simulation(config, records):
     """Run one algorithm over a workload; returns a RunResult.
 
     Jobs are assigned to schedulers round-robin.  Raises SimulationError
-    if the run ends in a non-quiescent state.
+    before any event runs if ``event_cap`` is below the fewest events the
+    workload needs: one per job (its arrival), one per stage (its fan-out
+    or long-stage placement) and four per task (``task_request``,
+    ``assign``, ``complete`` and ``task_finish``); and after the run if it
+    ends in a non-quiescent state.
     """
     sim = Simulation(config)
     workers, schedulers = _BUILDERS[config.algo](sim, config)
     sim.total_jobs = len(records)
+    needed = len(records)
     for i, record in enumerate(records):
         if record.submit_us is None:
             raise SimulationError("job %r has no submit time" % (record.job_id,))
+        needed += len(record.stages) + 4 * record.task_count
         sim.schedule_at(record.submit_us, schedulers[i % len(schedulers)].eid,
                         ("job", record))
+    if config.event_cap < needed:
+        raise SimulationError(
+            "event_cap %d is below %d, the fewest events these %d jobs need "
+            "(jobs + stages + 4 x tasks)"
+            % (config.event_cap, needed, len(records)))
     sim.run()
     _check_quiescence(sim, workers, schedulers, len(records))
     sim.records.sort(key=lambda r: str(r.job_id))

@@ -5,10 +5,11 @@ The virtual clock is integer microseconds.  Events are totally ordered by
 two events scheduled for the same instant are delivered in send order.
 Messages between entities incur the configured network delay; timers
 (task completions, ring rotation rounds) are delivered without delay.
-A ring handoff is a timer that stands for the n rotation messages of one
-round: the ring counts them as n messages and schedules the handoff a
-network delay ahead, where the messages would have landed, but the event
-cap counts it as one event.
+A fan-out is a timer that stands for n messages one handler sends in a
+row, such as a ring round's rotations or a stage's probes: the sender
+counts them as n messages, schedules one event to itself a network delay
+ahead, where the first message would have landed, and delivers them there
+in send order.  The event cap counts a fan-out as one event.
 
 A heap entry is a list of (target, payload) events for one instant.  The
 events that the handlers of one entry schedule for ``now + net_delay_us``

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from peacock_sim import driver
 from peacock_sim.baselines import (LONG_CUTOFF_US, PROBE_RATIO, EagleCentral,
-                                   EagleWorker, SparrowWorker)
+                                   EagleScheduler, EagleWorker,
+                                   SparrowScheduler, SparrowWorker)
 from peacock_sim.engine import ProtocolError, SimConfig, Simulation, \
-    derived_rng
+    SimulationError, derived_rng
 from peacock_sim.probes import Probe
+from peacock_sim.scheduler import Scheduler
 from peacock_sim.workload import Stage, SyntheticSpec, TraceRecord, generate
 
 US = 1_000_000
@@ -53,7 +55,6 @@ def test_sparrow_probe_count_and_exactly_once():
 
 def test_sparrow_probes_hit_distinct_workers():
     sim = Simulation(SimConfig(workers=10, algo="sparrow"))
-    from peacock_sim.baselines import SparrowScheduler
     recorders = [Recorder(sim) for _ in range(10)]
     sched = SparrowScheduler(sim, 0, [r.eid for r in recorders],
                              derived_rng(1, "s"))
@@ -61,6 +62,76 @@ def test_sparrow_probes_hit_distinct_workers():
     sim.run()
     hit = [r for r in recorders if r.inbox]
     assert len(hit) == 8                   # 8 probes, all distinct workers
+
+
+class LogRecorder:
+    """A worker stand-in that logs into a list shared across workers."""
+
+    def __init__(self, sim, log):
+        self.eid = sim.add_entity(self)
+        self.log = log
+
+    def handle(self, payload, now):
+        self.log.append((now, self.eid, tuple(
+            tuple(getattr(x, f) for f in Probe.__slots__)
+            if isinstance(x, Probe) else x for x in payload)))
+
+
+def make_baseline_scheduler(algo, sim, worker_eids):
+    rng = derived_rng(1, "s")
+    if algo == "sparrow":
+        return SparrowScheduler(sim, 0, worker_eids, rng)
+    return EagleScheduler(sim, 0, worker_eids, rng, Recorder(sim).eid)
+
+
+def one_send_per_probe(sched, deliveries, now):
+    """What ``fan_out`` stands for: one ``send`` per delivery."""
+    for worker, message in deliveries:
+        sched.sim.send(worker.eid, message, now)
+
+
+def run_two_stages(algo, net_delay_us):
+    """Two short one-stage jobs admitted at t=0, with timers due where
+    their probes land; returns the delivery log, the events run() handled
+    and the messages counted."""
+    sim = Simulation(SimConfig(workers=10, algo=algo,
+                               net_delay_us=net_delay_us))
+    log = []
+    recorders = [LogRecorder(sim, log) for _ in range(10)]
+    sched = make_baseline_scheduler(algo, sim, [r.eid for r in recorders])
+    sim.schedule_at(net_delay_us, recorders[0].eid, ("early",))
+    sim.schedule_at(0, sched.eid, ("job", job("a", [1, 2, 3])))
+    sim.schedule_at(0, sched.eid, ("job", job("b", [1, 1])))
+    sim.schedule_at(net_delay_us, recorders[1].eid, ("late",))
+    return log, sim.run(), sim.counters["messages"]
+
+
+@pytest.mark.parametrize("net_delay_us", [0, 5_000])
+@pytest.mark.parametrize("algo", ["sparrow", "eagle"])
+def test_fan_out_delivers_as_one_send_per_probe(algo, net_delay_us,
+                                                monkeypatch):
+    log, events, messages = run_two_stages(algo, net_delay_us)
+    probes = [m for _, _, m in log if m[0] == "probe"]
+    assert len(probes) == PROBE_RATIO * 5
+    assert {t for t, _, m in log} == {net_delay_us}
+    # Each probe still counts as one message, but a stage is one event.
+    assert messages == PROBE_RATIO * 5
+    assert events == 2 + 2 + 2
+    monkeypatch.setattr(Scheduler, "fan_out", one_send_per_probe)
+    assert run_two_stages(algo, net_delay_us) == \
+        (log, 2 + PROBE_RATIO * 5 + 2, messages)
+
+
+@pytest.mark.parametrize("bad", ["negative", "past the end"])
+@pytest.mark.parametrize("algo", ["sparrow", "eagle"])
+def test_worker_eid_naming_no_entity_is_rejected(algo, bad):
+    sim = Simulation(SimConfig(workers=2, algo=algo))
+    eids = [Recorder(sim).eid for _ in range(2)]
+    # Eagle's central stub and the scheduler take the next eids; this one
+    # is past them.
+    eids.append(-1 if bad == "negative" else len(sim.entities) + 2)
+    with pytest.raises(SimulationError, match="unknown worker entity"):
+        make_baseline_scheduler(algo, sim, eids)
 
 
 def test_sparrow_worker_queue_is_fifo():

@@ -70,13 +70,21 @@ def test_peacock_report_digest_is_pinned(records, net_delay_us, expected):
     assert report_digest(result) == expected
 
 
-@pytest.mark.parametrize("algo, expected", [
-    ("sparrow", "c897ae33d82b46de"),
-    ("eagle", "24e65217669f4cc3"),
+@pytest.mark.parametrize("algo, net_delay_us, expected", [
+    ("sparrow", 5_000, "c897ae33d82b46de"),
+    ("eagle", 5_000, "24e65217669f4cc3"),
+    # At a zero delay a stage's probes land at the instant they are sent,
+    # behind the events already due then.
+    ("sparrow", 0, "8543dfc7c74cc378"),
+    ("eagle", 0, "2ffd4cc1bb8a5556"),
+    ("sparrow", US, "221a006cbb8233cd"),
+    ("eagle", US, "45fc4163c56dc9ea"),
 ])
-def test_baseline_report_digest_is_pinned(records, algo, expected):
+def test_baseline_report_digest_is_pinned(records, algo, net_delay_us,
+                                          expected):
     result = driver.run_simulation(
-        SimConfig(workers=WORKERS, schedulers=4, seed=1, algo=algo), records)
+        SimConfig(workers=WORKERS, schedulers=4, seed=1, algo=algo,
+                  net_delay_us=net_delay_us), records)
     assert result.counters["probes_cancelled"] > 0
     assert report_digest(result) == expected
 
@@ -149,7 +157,7 @@ def test_dag_trace_digest_is_pinned(dag_records, algo, expected):
 WORKER, SCHEDULER, BASELINES = ("peacock_sim.worker", "peacock_sim.scheduler",
                                  "peacock_sim.baselines")
 SLOT_KINDS = {"probe", "assign", "cancel", "complete"}
-SCHEDULER_KINDS = {"job", "task_request", "task_finish"}
+SCHEDULER_KINDS = {"job", "task_request", "task_finish", "fanout"}
 ENTITY_KINDS = {
     "peacock": {
         (WORKER, "PeacockWorker"): {"probe", "assign", "complete"},

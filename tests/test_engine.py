@@ -6,7 +6,7 @@ import json
 import pytest
 
 from peacock_sim import driver
-from peacock_sim.engine import (SimConfig, Simulation, SimulationError,
+from peacock_sim.engine import (ALGOS, SimConfig, Simulation, SimulationError,
                                 derived_rng)
 from peacock_sim.workload import Stage, TraceRecord
 
@@ -185,6 +185,42 @@ def test_event_cap_trips_on_a_fan_out():
     sim.schedule_at(0, d.eid, ("grow",))
     with pytest.raises(SimulationError, match="event cap 50"):
         sim.run()
+
+
+# Two DAG jobs; stage 1 of "b" has a mean task above Eagle's 3 s cutoff.
+CAP_JOBS = [
+    TraceRecord("a", 0, [Stage([US, 2 * US]), Stage([US], deps=[0])]),
+    TraceRecord("b", US // 2, [Stage([US // 2]),
+                               Stage([4 * US, 5 * US], deps=[0]),
+                               Stage([US, US, US], deps=[0, 1])]),
+]
+# One event per job and per stage, four per task.
+CAP_BOUND = 2 + 5 + 4 * 9
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_event_cap_below_the_work_fails_before_any_event(algo, monkeypatch):
+    handled = []
+    run = Simulation.run
+    monkeypatch.setattr(Simulation, "run",
+                        lambda sim: handled.append(run(sim)) or handled[-1])
+    driver.run_simulation(SimConfig(workers=4, seed=1, algo=algo), CAP_JOBS)
+    (total,) = handled
+    assert total >= CAP_BOUND
+    driver.run_simulation(SimConfig(workers=4, seed=1, algo=algo,
+                                    event_cap=total), CAP_JOBS)
+    # At the bound itself the run starts, and its own guard trips.
+    with pytest.raises(SimulationError, match="event cap %d exceeded"
+                       % CAP_BOUND):
+        driver.run_simulation(SimConfig(workers=4, seed=1, algo=algo,
+                                        event_cap=CAP_BOUND), CAP_JOBS)
+    handled.clear()
+    with pytest.raises(SimulationError,
+                       match="event_cap %d is below %d, "
+                       % (CAP_BOUND - 1, CAP_BOUND)):
+        driver.run_simulation(SimConfig(workers=4, seed=1, algo=algo,
+                                        event_cap=CAP_BOUND - 1), CAP_JOBS)
+    assert handled == []
 
 
 @pytest.mark.parametrize("bad", [
