@@ -161,16 +161,17 @@ class SparrowScheduler(Scheduler):
 
     def submit_stage(self, job, stage_idx, now):
         count = PROBE_RATIO * len(job.record.stages[stage_idx].durations_us)
-        workers = self.workers
+        worker_eids = self.worker_eids
         job_key = (job.record.job_id, stage_idx)
         theta = job.thetas[stage_idx]
         eid = self.eid
-        targets = pick_workers(self.rng, len(workers), count)
+        targets = pick_workers(self.rng, len(worker_eids), count)
         self.sim.counters["probes_created"] += count
         # Probe(job, task, arrival, runtime estimate, allowance, scheduler)
-        self.fan_out([(workers[w], ("probe", Probe(job_key, ("probe", i), now,
-                                                   theta, 0, eid)))
-                      for i, w in enumerate(targets)], now)
+        self.sim.send_all([(worker_eids[w],
+                            ("probe", Probe(job_key, ("probe", i), now,
+                                            theta, 0, eid)))
+                           for i, w in enumerate(targets)], now)
 
     def bind(self, job, stage_idx, probe):
         task_id = job.pool_next[stage_idx]

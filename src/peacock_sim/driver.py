@@ -76,8 +76,8 @@ def run_simulation(config, records):
 
     Jobs are assigned to schedulers round-robin.  Raises SimulationError
     before any event runs if ``event_cap`` is below the fewest events the
-    workload needs: one per job (its arrival), one per stage (its fan-out
-    or long-stage placement) and four per task (``task_request``,
+    workload needs: one per job (its arrival), one per stage (its first
+    probe or long-stage placement) and four per task (``task_request``,
     ``assign``, ``complete`` and ``task_finish``); and after the run if it
     ends in a non-quiescent state.
     """

@@ -9,12 +9,8 @@ records the job.  Each stage of a job DAG is scheduled as an independent
 unit.  Each algorithm adds only where a stage's probes go and how a probe
 is bound to its task.
 
-A stage's probes travel in one ``fanout`` event: ``fan_out`` counts one
-message per probe and schedules the event a network delay later, where
-the probes would have landed, and on it the scheduler calls each target
-worker's ``handle`` with its ``probe`` message in send order.  The stage
-sends nothing else between its probes, so this is the order that one
-message per probe gave.
+A stage's probes leave in one ``Simulation.send_all`` call, one
+``probe`` message per probe in target order.
 
 ``PeacockScheduler`` sends one probe per task, bound to its task at
 admission, to randomly drawn workers.  Its scheduler-wide aggregate (probe
@@ -100,22 +96,20 @@ class JobState:
 
 class Scheduler:
     """The protocol shared by every algorithm.  Subclasses define
-    ``submit_stage``, which sends a stage's probes through ``fan_out``,
-    and may override ``bind``, ``release`` and ``assignment``.
-
-    ``workers`` holds the worker entities named by ``worker_eids``, each
-    checked once here as ``Simulation.send`` checks a target."""
+    ``submit_stage``, which sends a stage's probes through
+    ``Simulation.send_all``, and may override ``bind``, ``release`` and
+    ``assignment``.  Each of ``worker_eids`` is checked once here, as
+    ``Simulation.send`` checks a target, since ``send_all`` does not."""
 
     def __init__(self, sim, sid, worker_eids, rng):
         self.sim = sim
         self.sid = sid
         self.eid = sim.add_entity(self)
-        entities = sim.entities
         for eid in worker_eids:
-            if not 0 <= eid < len(entities):
+            if not 0 <= eid < len(sim.entities):
                 raise SimulationError("scheduler %d: unknown worker entity %r"
                                       % (sid, eid))
-        self.workers = [entities[eid] for eid in worker_eids]
+        self.worker_eids = worker_eids
         self.rng = rng
         self.jobs = {}
 
@@ -129,21 +123,9 @@ class Scheduler:
         elif kind == "task_finish":
             _, job_key, task_id, finish_us = payload
             self.on_task_finish(job_key, task_id, finish_us, now)
-        elif kind == "fanout":
-            for worker, message in payload[1]:
-                worker.handle(message, now)
         else:
             raise ProtocolError("scheduler %d: unknown payload %r"
                                 % (self.sid, kind))
-
-    def fan_out(self, deliveries, now):
-        """Send each ``(worker, message)`` of ``deliveries``, in order, as
-        one ``fanout`` event a network delay later; each counts as one
-        message."""
-        sim = self.sim
-        sim.counters["messages"] += len(deliveries)
-        sim.schedule_at(now + sim.net_delay_us, self.eid,
-                        ("fanout", deliveries))
 
     def on_job_arrival(self, record, now):
         if not record.stages or any(not s.durations_us for s in record.stages):
@@ -230,7 +212,7 @@ class PeacockScheduler(Scheduler):
         """The quotas of the current aggregate, stamped ``(now, sid)``."""
         state = self._state
         if state is None or state.version[0] != now:
-            workers = len(self.workers)
+            workers = len(self.worker_eids)
             state = self._state = SharedState(
                 probe_quota=probe_quota(self.probe_count, workers),
                 load_quota_us=self.load_us // workers,
@@ -268,16 +250,16 @@ class PeacockScheduler(Scheduler):
         self.change_aggregate(n, n * theta, now)
         state = self.shared_state(now)
         allowance = state.load_quota_us
-        workers = self.workers
+        worker_eids = self.worker_eids
         job_key = (job.record.job_id, stage_idx)
         eid = self.eid
-        targets = pick_workers(self.rng, len(workers), n)
+        targets = pick_workers(self.rng, len(worker_eids), n)
         self.sim.counters["probes_created"] += n
         # Probe(job, task, arrival, runtime estimate, allowance, scheduler)
-        self.fan_out([(workers[w], ("probe", Probe(job_key, task_id, now,
-                                                   theta, allowance, eid),
-                                    state))
-                      for task_id, w in enumerate(targets)], now)
+        self.sim.send_all([(worker_eids[w],
+                            ("probe", Probe(job_key, task_id, now, theta,
+                                            allowance, eid), state))
+                           for task_id, w in enumerate(targets)], now)
 
     def assignment(self, probe, task_id, duration_us, now):
         return ("assign", probe.key, task_id, duration_us,

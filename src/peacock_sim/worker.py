@@ -18,18 +18,16 @@ probes or adopts a fresher shared state adds its index to the ring's dirty
 set.  Both persist until the next round, so a round visits exactly the
 dirty workers.
 
-A round sends one rotation message from each dirty worker to its
-successor, but not through the engine: the ring delivers them all in one
-``handoff`` event of its own, a network delay later, where the messages
-would have landed.  The event holds one item per message, in index order:
-the successor, the handed-off probes (the empty tuple for news of state
-alone) and the sender's shared state.  For each item the successor adopts
-the state only if its version is newer, re-trimming its queue only when
-the queue holds probes, and then takes the probes, if any, through the
-same loop as a fresh ``probe`` message: a duplicate is a protocol error, a
-probe that finds the slot idle and the queue empty reserves the slot, and
-the others are enqueued.  The handed-off probes are never the sender's
-live rotating buffer.  Each item counts as one network message.
+A round sends one ``rotation`` message from each dirty worker to its
+successor, in index order, in one ``Simulation.send_all`` call.  The
+message carries the rotated probes (the empty tuple for news of state
+alone) and the sender's shared state.  The successor adopts the state only
+if its version is newer, re-trimming its queue only when the queue holds
+probes, and then takes the probes, if any, through the same loop as a
+fresh ``probe`` message: a duplicate is a protocol error, a probe that
+finds the slot idle and the queue empty reserves the slot, and the others
+are enqueued.  The sent probes are never the sender's live rotating
+buffer.
 """
 
 from .engine import ProtocolError
@@ -136,7 +134,12 @@ class PeacockWorker(SlotWorker):
 
     def handle(self, payload, now):
         kind = payload[0]
-        if kind == "probe":
+        if kind == "rotation":
+            _, probes, state = payload
+            self.adopt_shared_state(state)
+            if probes:
+                self.accept(probes, now)
+        elif kind == "probe":
             _, probe, state = payload
             self.adopt_shared_state(state)
             self.accept((probe,), now)
@@ -230,8 +233,7 @@ class Ring:
     the dirty ones, in index order.  A worker is dirty only while it holds
     rotating probes or a shared state fresher than it last sent, so each of
     them has something to send.  A round counts its messages once, in
-    ``messages`` and ``rotation_messages``, and hands them over in one
-    ``handoff`` event a network delay later."""
+    ``rotation_messages``, and sends them in one ``send_all``."""
 
     def __init__(self, sim, workers):
         self.sim = sim
@@ -242,12 +244,6 @@ class Ring:
             w.dirty = self.dirty
 
     def handle(self, payload, now):
-        if payload[0] == "handoff":
-            for successor, probes, state in payload[1]:
-                successor.adopt_shared_state(state)
-                if probes:
-                    successor.accept(probes, now)
-            return
         workers = self.workers
         count = len(workers)
         dirty = self.dirty
@@ -256,15 +252,13 @@ class Ring:
             items = []
             for i in sorted(dirty):
                 w = workers[i]
-                items.append((workers[(i + 1) % count],
-                              w.rotate() if w.queue.rotating else (),
-                              w.known_state))
+                items.append((workers[(i + 1) % count].eid,
+                              ("rotation",
+                               w.rotate() if w.queue.rotating else (),
+                               w.known_state)))
             dirty.clear()
-            counters = sim.counters
-            counters["messages"] += len(items)
-            counters["rotation_messages"] += len(items)
-            sim.schedule_at(now + sim.net_delay_us, self.eid,
-                            ("handoff", items))
+            sim.counters["rotation_messages"] += len(items)
+            sim.send_all(items, now)
         if sim.jobs_done < sim.total_jobs:
             sim.schedule_at(now + sim.config.rotation_interval_us, self.eid,
                             ("round",))

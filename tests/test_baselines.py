@@ -13,7 +13,6 @@ from peacock_sim.baselines import (LONG_CUTOFF_US, PROBE_RATIO, EagleCentral,
 from peacock_sim.engine import ProtocolError, SimConfig, Simulation, \
     SimulationError, derived_rng
 from peacock_sim.probes import Probe
-from peacock_sim.scheduler import Scheduler
 from peacock_sim.workload import Stage, SyntheticSpec, TraceRecord, generate
 
 US = 1_000_000
@@ -64,62 +63,11 @@ def test_sparrow_probes_hit_distinct_workers():
     assert len(hit) == 8                   # 8 probes, all distinct workers
 
 
-class LogRecorder:
-    """A worker stand-in that logs into a list shared across workers."""
-
-    def __init__(self, sim, log):
-        self.eid = sim.add_entity(self)
-        self.log = log
-
-    def handle(self, payload, now):
-        self.log.append((now, self.eid, tuple(
-            tuple(getattr(x, f) for f in Probe.__slots__)
-            if isinstance(x, Probe) else x for x in payload)))
-
-
 def make_baseline_scheduler(algo, sim, worker_eids):
     rng = derived_rng(1, "s")
     if algo == "sparrow":
         return SparrowScheduler(sim, 0, worker_eids, rng)
     return EagleScheduler(sim, 0, worker_eids, rng, Recorder(sim).eid)
-
-
-def one_send_per_probe(sched, deliveries, now):
-    """What ``fan_out`` stands for: one ``send`` per delivery."""
-    for worker, message in deliveries:
-        sched.sim.send(worker.eid, message, now)
-
-
-def run_two_stages(algo, net_delay_us):
-    """Two short one-stage jobs admitted at t=0, with timers due where
-    their probes land; returns the delivery log, the events run() handled
-    and the messages counted."""
-    sim = Simulation(SimConfig(workers=10, algo=algo,
-                               net_delay_us=net_delay_us))
-    log = []
-    recorders = [LogRecorder(sim, log) for _ in range(10)]
-    sched = make_baseline_scheduler(algo, sim, [r.eid for r in recorders])
-    sim.schedule_at(net_delay_us, recorders[0].eid, ("early",))
-    sim.schedule_at(0, sched.eid, ("job", job("a", [1, 2, 3])))
-    sim.schedule_at(0, sched.eid, ("job", job("b", [1, 1])))
-    sim.schedule_at(net_delay_us, recorders[1].eid, ("late",))
-    return log, sim.run(), sim.counters["messages"]
-
-
-@pytest.mark.parametrize("net_delay_us", [0, 5_000])
-@pytest.mark.parametrize("algo", ["sparrow", "eagle"])
-def test_fan_out_delivers_as_one_send_per_probe(algo, net_delay_us,
-                                                monkeypatch):
-    log, events, messages = run_two_stages(algo, net_delay_us)
-    probes = [m for _, _, m in log if m[0] == "probe"]
-    assert len(probes) == PROBE_RATIO * 5
-    assert {t for t, _, m in log} == {net_delay_us}
-    # Each probe still counts as one message, but a stage is one event.
-    assert messages == PROBE_RATIO * 5
-    assert events == 2 + 2 + 2
-    monkeypatch.setattr(Scheduler, "fan_out", one_send_per_probe)
-    assert run_two_stages(algo, net_delay_us) == \
-        (log, 2 + PROBE_RATIO * 5 + 2, messages)
 
 
 @pytest.mark.parametrize("bad", ["negative", "past the end"])

@@ -54,10 +54,10 @@ def records():
 @pytest.mark.parametrize("net_delay_us, expected", [
     (5_000, "4607719558fb2d54"),
     (0, "2c456cdb63231197"),
-    # Equal to the rotation interval: a round's handoff lands at the same
+    # Equal to the rotation interval: a round's rotations land at the same
     # instant as the next round, and must be delivered before it.
     (US, "f9977515b7cb5462"),
-    # Twice the interval: a round's handoff lands at the same instant as
+    # Twice the interval: a round's rotations land at the same instant as
     # the round after next, and must be delivered before it.
     (2 * US, "ee537fa444480c32"),
 ])
@@ -157,11 +157,11 @@ def test_dag_trace_digest_is_pinned(dag_records, algo, expected):
 WORKER, SCHEDULER, BASELINES = ("peacock_sim.worker", "peacock_sim.scheduler",
                                  "peacock_sim.baselines")
 SLOT_KINDS = {"probe", "assign", "cancel", "complete"}
-SCHEDULER_KINDS = {"job", "task_request", "task_finish", "fanout"}
+SCHEDULER_KINDS = {"job", "task_request", "task_finish"}
 ENTITY_KINDS = {
     "peacock": {
-        (WORKER, "PeacockWorker"): {"probe", "assign", "complete"},
-        (WORKER, "Ring"): {"round", "handoff"},
+        (WORKER, "PeacockWorker"): {"rotation", "probe", "assign", "complete"},
+        (WORKER, "Ring"): {"round"},
         (SCHEDULER, "PeacockScheduler"): SCHEDULER_KINDS | {"peer"},
     },
     "sparrow": {

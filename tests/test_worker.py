@@ -38,18 +38,17 @@ def make_worker(schedulers=1):
     return sim, workers[0], sched, ring
 
 
-def record_handoffs(ring):
-    """Log each handoff the ring delivers, as (now, [(successor index,
-    probes, state), ...]), before delivering it."""
+def record_rotations(ring):
+    """Log each ``rotation`` message a worker of the ring receives, as
+    (now, receiver index, probes, state), before it is handled."""
     log = []
-    handle = ring.handle
-
-    def recording(payload, now):
-        if payload[0] == "handoff":
-            log.append((now, [(successor.index, probes, carried)
-                              for successor, probes, carried in payload[1]]))
-        return handle(payload, now)
-    ring.handle = recording
+    for worker in ring.workers:
+        def recording(payload, now, index=worker.index,
+                      handle=worker.handle):
+            if payload[0] == "rotation":
+                log.append((now, index, payload[1], payload[2]))
+            return handle(payload, now)
+        worker.handle = recording
     return log
 
 
@@ -120,7 +119,7 @@ def test_rotation_round_without_work_or_news_sends_nothing():
 def test_rotate_sends_each_jobs_probes_together_as_the_same_objects():
     sim, worker, sched, ring = make_worker()
     successor = ring.workers[1]
-    log = record_handoffs(ring)
+    log = record_rotations(ring)
     run_busy(worker, sched)
     a0, b0, a1 = (probe(job, task=task, scheduler=sched.eid)
                   for job, task in (("a", 0), ("b", 0), ("a", 1)))
@@ -131,8 +130,8 @@ def test_rotate_sends_each_jobs_probes_together_as_the_same_objects():
     ring.handle(("round",), 11 * US)
     assert worker.queue.rotating == [] and worker.held == set()
     drain(sim)
-    # One handoff, a network delay after the round, with one message.
-    ((at, ((to, sent, carried),)),) = log
+    # One rotation message, a network delay after the round.
+    ((at, to, sent, carried),) = log
     assert at == 11 * US + 5_000 and to == successor.index
     assert carried is s and successor.known_state is s
     assert len(sent) == 3
@@ -145,19 +144,18 @@ def test_rotate_sends_each_jobs_probes_together_as_the_same_objects():
 
 def test_rotation_sends_on_state_news_alone():
     sim, worker, _, ring = make_worker()
-    log = record_handoffs(ring)
+    log = record_rotations(ring)
     worker.adopt_shared_state(state(5, 100, version=(2 * US, 0)))
     ring.handle(("round",), 3 * US)
     drain(sim)
-    ((_, ((_to, sent, carried),)),) = log
+    ((_, _to, sent, carried),) = log
     assert sent == ()
     assert carried.version == (2 * US, 0)
     assert ring.workers[1].known_state is carried
     # The successor adopted fresh news, so it alone sends next round.
     ring.handle(("round",), 4 * US)
     drain(sim)
-    assert [(to, sent) for _, items in log[1:] for to, sent, _ in items] \
-        == [(0, ())]
+    assert [(to, sent) for _, to, sent, _ in log[1:]] == [(0, ())]
     # A third round with no further news stays quiet.
     ring.handle(("round",), 5 * US)
     drain(sim)
@@ -169,7 +167,7 @@ def test_ring_round_sends_only_from_workers_with_probes_or_news_in_order():
     sched = Recorder(sim)
     workers = [PeacockWorker(sim, i) for i in range(4)]
     ring = Ring(sim, workers)
-    log = record_handoffs(ring)
+    log = record_rotations(ring)
     workers[3].adopt_shared_state(state(5, 100, version=(2 * US, 0)))
     run_busy(workers[1], sched)
     p = probe("j", scheduler=sched.eid)
@@ -178,10 +176,10 @@ def test_ring_round_sends_only_from_workers_with_probes_or_news_in_order():
     ring.handle(("round",), 3 * US)
     assert sim.counters["messages"] == sim.counters["rotation_messages"] == 2
     drain(sim)
-    ((_, items),) = log
     # Worker 1 hands p to worker 2; worker 3 wraps round to worker 0.
-    assert [(to, sent, carried.version) for to, sent, carried in items] \
-        == [(2, [p], (0, 0)), (0, (), (2 * US, 0))]
+    assert [(at, to, sent, carried.version) for at, to, sent, carried in log] \
+        == [(3 * US + 5_000, 2, [p], (0, 0)),
+            (3 * US + 5_000, 0, (), (2 * US, 0))]
 
 
 def count_trims(monkeypatch):
@@ -199,7 +197,7 @@ def count_trims(monkeypatch):
 @pytest.mark.parametrize("version", [(2 * US, 0), (1 * US, 1)],
                          ids=["same", "older"])
 def test_rotation_with_stale_state_changes_nothing(monkeypatch, version):
-    sim, worker, sched, ring = make_worker()
+    sim, worker, sched, _ = make_worker()
     run_busy(worker, sched)
     known = state(10, 10_000, version=(2 * US, 0))
     queued = [probe("j", task=t, mu=10_000, scheduler=sched.eid)
@@ -210,18 +208,17 @@ def test_rotation_with_stale_state_changes_nothing(monkeypatch, version):
     assert len(before) == 3
     worker.dirty.clear()
     trims = count_trims(monkeypatch)
-    ring.handle(("handoff", [(worker, (), state(1, 1, version=version))]),
-                11 * US)
+    worker.handle(("rotation", (), state(1, 1, version=version)), 11 * US)
     assert worker.known_state is known
     assert worker.queue.entries == before and worker.queue.rotating == []
     assert trims == [] and worker.dirty == set()
 
 
 def test_fresher_state_on_empty_queue_marks_dirty_without_trim(monkeypatch):
-    sim, worker, _, ring = make_worker()
+    sim, worker, _, _ = make_worker()
     trims = count_trims(monkeypatch)
     fresh = state(5, 100, version=(3 * US, 0))
-    ring.handle(("handoff", [(worker, (), fresh)]), 4 * US)
+    worker.handle(("rotation", (), fresh), 4 * US)
     assert worker.known_state is fresh
     assert worker.dirty == {worker.index}
     assert trims == []
@@ -230,7 +227,7 @@ def test_fresher_state_on_empty_queue_marks_dirty_without_trim(monkeypatch):
 @pytest.mark.parametrize("buffered", [0, 1], ids=["empty", "one-probe"])
 def test_sent_rotation_probes_are_not_the_live_buffer(buffered):
     sim, worker, sched, ring = make_worker()
-    log = record_handoffs(ring)
+    log = record_rotations(ring)
     run_busy(worker, sched)
     tight = state(1, 10_000, version=(1 * US, 0))
     # Fresh news makes the worker send even with an empty buffer.
@@ -244,7 +241,7 @@ def test_sent_rotation_probes_are_not_the_live_buffer(buffered):
     worker.handle(("probe", late, tight), 11 * US)
     assert worker.queue.rotating == [late]
     drain(sim)
-    ((_, ((_to, sent, _state),)),) = log
+    ((_, _to, sent, _state),) = log
     assert sent == (first or ())
     assert sent is not worker.queue.rotating
 
