@@ -63,11 +63,63 @@ def test_sparrow_probes_hit_distinct_workers():
     assert len(hit) == 8                   # 8 probes, all distinct workers
 
 
+class LogRecorder:
+    """A worker stand-in that logs into a list shared across workers."""
+
+    def __init__(self, sim, log):
+        self.eid = sim.add_entity(self)
+        self.log = log
+
+    def handle(self, payload, now):
+        self.log.append((now, self.eid, tuple(
+            tuple(getattr(x, f) for f in Probe.__slots__)
+            if isinstance(x, Probe) else x for x in payload)))
+
+
 def make_baseline_scheduler(algo, sim, worker_eids):
     rng = derived_rng(1, "s")
     if algo == "sparrow":
         return SparrowScheduler(sim, 0, worker_eids, rng)
     return EagleScheduler(sim, 0, worker_eids, rng, Recorder(sim).eid)
+
+
+def one_send_per_probe(sim, deliveries, now_us):
+    """What ``send_all`` stands for: one ``send`` per delivery."""
+    for target, payload in deliveries:
+        sim.send(target, payload, now_us)
+
+
+def run_two_stages(algo, net_delay_us):
+    """Two short one-stage jobs admitted at t=0, with timers due where
+    their probes land; returns the delivery log, the events run() handled
+    and the messages counted."""
+    sim = Simulation(SimConfig(workers=10, algo=algo,
+                               net_delay_us=net_delay_us))
+    log = []
+    recorders = [LogRecorder(sim, log) for _ in range(10)]
+    sched = make_baseline_scheduler(algo, sim, [r.eid for r in recorders])
+    sim.schedule_at(net_delay_us, recorders[0].eid, ("early",))
+    sim.schedule_at(0, sched.eid, ("job", job("a", [1, 2, 3])))
+    sim.schedule_at(0, sched.eid, ("job", job("b", [1, 1])))
+    sim.schedule_at(net_delay_us, recorders[1].eid, ("late",))
+    return log, sim.run(), sim.counters["messages"]
+
+
+@pytest.mark.parametrize("net_delay_us", [0, 5_000])
+@pytest.mark.parametrize("algo", ["sparrow", "eagle"])
+def test_fan_out_delivers_as_one_send_per_probe(algo, net_delay_us,
+                                                monkeypatch):
+    log, events, messages = run_two_stages(algo, net_delay_us)
+    probes = [m for _, _, m in log if m[0] == "probe"]
+    assert len(probes) == PROBE_RATIO * 5
+    assert [m[1][0] for m in probes] == \
+        [("a", 0)] * (PROBE_RATIO * 3) + [("b", 0)] * (PROBE_RATIO * 2)
+    assert {t for t, _, m in log} == {net_delay_us}
+    # Each probe is one message and one delivered event.
+    assert messages == PROBE_RATIO * 5
+    assert events == 2 + PROBE_RATIO * 5 + 2
+    monkeypatch.setattr(Simulation, "send_all", one_send_per_probe)
+    assert run_two_stages(algo, net_delay_us) == (log, events, messages)
 
 
 @pytest.mark.parametrize("bad", ["negative", "past the end"])

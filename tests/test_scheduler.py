@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from peacock_sim.engine import (ProtocolError, SimConfig, Simulation,
                                 SimulationError, derived_rng)
-from peacock_sim.probes import SharedState
+from peacock_sim.probes import Probe, SharedState
 from peacock_sim.scheduler import JobState, PeacockScheduler, mean_us, \
     pick_workers, probe_quota
 from peacock_sim.workload import Stage, TraceRecord
@@ -178,6 +178,59 @@ def test_pick_workers_distinct_then_replacement():
     drawn = pick_workers(rng, 4, 11)
     assert len(drawn) == 11
     assert sorted(set(drawn[:4])) == list(range(4))
+
+
+# -- stage probes ------------------------------------------------------------
+
+class LogRecorder:
+    """A worker stand-in that logs into a list shared across workers."""
+
+    def __init__(self, sim, log):
+        self.eid = sim.add_entity(self)
+        self.log = log
+
+    def handle(self, payload, now):
+        self.log.append((now, self.eid, tuple(
+            tuple(getattr(x, f) for f in Probe.__slots__)
+            if isinstance(x, Probe) else x for x in payload)))
+
+
+def one_send_per_probe(sim, deliveries, now_us):
+    """What ``send_all`` stands for: one ``send`` per delivery."""
+    for target, payload in deliveries:
+        sim.send(target, payload, now_us)
+
+
+def run_two_stages(net_delay_us):
+    """Two one-stage jobs admitted at t=0, with timers due where their
+    probes land; returns the delivery log, the events run() handled and
+    the messages counted."""
+    sim = Simulation(SimConfig(workers=6, net_delay_us=net_delay_us))
+    log = []
+    recorders = [LogRecorder(sim, log) for _ in range(6)]
+    sched = PeacockScheduler(sim, 0, [r.eid for r in recorders],
+                             derived_rng(3, "sched", 0))
+    sim.schedule_at(net_delay_us, recorders[0].eid, ("early",))
+    sim.schedule_at(0, sched.eid, ("job", job("a", [2, 4, 6])))
+    sim.schedule_at(0, sched.eid, ("job", job("b", [1, 1])))
+    sim.schedule_at(net_delay_us, recorders[1].eid, ("late",))
+    return log, sim.run(), sim.counters["messages"]
+
+
+@pytest.mark.parametrize("net_delay_us", [0, 5_000])
+def test_fan_out_delivers_as_one_send_per_probe(net_delay_us, monkeypatch):
+    log, events, messages = run_two_stages(net_delay_us)
+    probes = [m for _, _, m in log if m[0] == "probe"]
+    assert len(probes) == 5
+    assert [m[1][0] for m in probes] == [("a", 0)] * 3 + [("b", 0)] * 2
+    # The timers were scheduled before run(), so they land first.
+    assert [m[0] for _, _, m in log] == ["early", "late"] + ["probe"] * 5
+    assert {t for t, _, m in log} == {net_delay_us}
+    # Each probe is one message and one delivered event.
+    assert messages == 5
+    assert events == 2 + 5 + 2
+    monkeypatch.setattr(Simulation, "send_all", one_send_per_probe)
+    assert run_two_stages(net_delay_us) == (log, events, messages)
 
 
 # -- wiring ------------------------------------------------------------------
