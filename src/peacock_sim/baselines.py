@@ -168,10 +168,10 @@ class SparrowScheduler(Scheduler):
         targets = pick_workers(self.rng, len(worker_eids), count)
         self.sim.counters["probes_created"] += count
         # Probe(job, task, arrival, runtime estimate, allowance, scheduler)
-        self.sim.send_all([(worker_eids[w],
-                            ("probe", Probe(job_key, ("probe", i), now,
-                                            theta, 0, eid)))
-                           for i, w in enumerate(targets)], now)
+        send = self.sim.send
+        for i, w in enumerate(targets):
+            send(worker_eids[w], ("probe", Probe(job_key, ("probe", i), now,
+                                                 theta, 0, eid)), now)
 
     def bind(self, job, stage_idx, probe):
         task_id = job.pool_next[stage_idx]

@@ -5,9 +5,6 @@ The virtual clock is integer microseconds.  Events are totally ordered by
 two events scheduled for the same instant are delivered in send order.
 Messages between entities incur the configured network delay; timers
 (task completions, ring rotation rounds) are delivered without delay.
-A handler that sends a run of messages in a row, such as a ring round's
-rotations or a stage's probes, may hand them to ``send_all`` in one call;
-they are delivered exactly as one ``send`` each would deliver them.
 
 A heap entry is a list of (target, payload) events for one instant.  The
 events that the handlers of one entry schedule for ``now + net_delay_us``
@@ -15,10 +12,8 @@ events that the handlers of one entry schedule for ``now + net_delay_us``
 call order and pushed as one entry when the handlers return.  Nothing
 else can fall between them at that instant, so delivering the list in
 order is the (time, seq) order of pushing each event alone.  Events
-scheduled outside ``run()`` or for any other instant are pushed alone,
-but a ``send_all`` run as one entry: nothing can take a sequence number
-between its events either.  Every delivered event counts toward the
-event cap.
+scheduled outside ``run()`` or for any other instant are pushed alone.
+Every delivered event counts toward the event cap.
 """
 
 import hashlib
@@ -133,19 +128,6 @@ class Simulation:
             raise SimulationError("send to unknown entity %r" % target)
         self.counters["messages"] += 1
         self.schedule_at(now_us + self.net_delay_us, target, payload)
-
-    def send_all(self, deliveries, now_us):
-        """Deliver each ``(target, payload)`` of ``deliveries``, in order,
-        after the network delay, as one ``send`` each would.  The engine
-        takes the list; its targets are not checked here, so a caller
-        checks them once, when it is wired."""
-        self.counters["messages"] += len(deliveries)
-        time_us = now_us + self.net_delay_us
-        if time_us == self._batch_us:
-            self._batch.extend(deliveries)
-        else:
-            heapq.heappush(self._heap, (time_us, self._seq, deliveries))
-            self._seq += 1
 
     def run(self):
         """Process events in (time, seq) order until the queue drains;

@@ -9,9 +9,6 @@ records the job.  Each stage of a job DAG is scheduled as an independent
 unit.  Each algorithm adds only where a stage's probes go and how a probe
 is bound to its task.
 
-A stage's probes leave in one ``Simulation.send_all`` call, one
-``probe`` message per probe in target order.
-
 ``PeacockScheduler`` sends one probe per task, bound to its task at
 admission, to randomly drawn workers.  Its scheduler-wide aggregate (probe
 count, total estimated load) is kept in step with its peers and feeds the
@@ -96,10 +93,9 @@ class JobState:
 
 class Scheduler:
     """The protocol shared by every algorithm.  Subclasses define
-    ``submit_stage``, which sends a stage's probes through
-    ``Simulation.send_all``, and may override ``bind``, ``release`` and
-    ``assignment``.  Each of ``worker_eids`` is checked once here, as
-    ``Simulation.send`` checks a target, since ``send_all`` does not."""
+    ``submit_stage``, which sends a stage's probes, and may override
+    ``bind``, ``release`` and ``assignment``.  Each of ``worker_eids`` is
+    checked here, so a bad one fails at wiring, before any event runs."""
 
     def __init__(self, sim, sid, worker_eids, rng):
         self.sim = sim
@@ -256,10 +252,10 @@ class PeacockScheduler(Scheduler):
         targets = pick_workers(self.rng, len(worker_eids), n)
         self.sim.counters["probes_created"] += n
         # Probe(job, task, arrival, runtime estimate, allowance, scheduler)
-        self.sim.send_all([(worker_eids[w],
-                            ("probe", Probe(job_key, task_id, now, theta,
-                                            allowance, eid), state))
-                           for task_id, w in enumerate(targets)], now)
+        send = self.sim.send
+        for task_id, w in enumerate(targets):
+            send(worker_eids[w], ("probe", Probe(job_key, task_id, now, theta,
+                                                 allowance, eid), state), now)
 
     def assignment(self, probe, task_id, duration_us, now):
         return ("assign", probe.key, task_id, duration_us,

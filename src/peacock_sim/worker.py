@@ -19,15 +19,14 @@ set.  Both persist until the next round, so a round visits exactly the
 dirty workers.
 
 A round sends one ``rotation`` message from each dirty worker to its
-successor, in index order, in one ``Simulation.send_all`` call.  The
-message carries the rotated probes (the empty tuple for news of state
-alone) and the sender's shared state.  The successor adopts the state only
-if its version is newer, re-trimming its queue only when the queue holds
-probes, and then takes the probes, if any, through the same loop as a
-fresh ``probe`` message: a duplicate is a protocol error, a probe that
-finds the slot idle and the queue empty reserves the slot, and the others
-are enqueued.  The sent probes are never the sender's live rotating
-buffer.
+successor, in index order.  The message carries the rotated probes (the
+empty tuple for news of state alone) and the sender's shared state.  The
+successor adopts the state only if its version is newer, re-trimming its
+queue only when the queue holds probes, and then takes the probes, if
+any, through the same loop as a fresh ``probe`` message: a duplicate is a
+protocol error, a probe that finds the slot idle and the queue empty
+reserves the slot, and the others are enqueued.  The sent probes are
+never the sender's live rotating buffer.
 """
 
 from .engine import ProtocolError
@@ -232,8 +231,8 @@ class Ring:
     index ``i`` and ``workers[(i + 1) % W]`` its successor; a round rotates
     the dirty ones, in index order.  A worker is dirty only while it holds
     rotating probes or a shared state fresher than it last sent, so each of
-    them has something to send.  A round counts its messages once, in
-    ``rotation_messages``, and sends them in one ``send_all``."""
+    them has something to send.  A round adds its message count to
+    ``rotation_messages`` once."""
 
     def __init__(self, sim, workers):
         self.sim = sim
@@ -249,16 +248,14 @@ class Ring:
         dirty = self.dirty
         sim = self.sim
         if dirty:
-            items = []
+            send = sim.send
             for i in sorted(dirty):
                 w = workers[i]
-                items.append((workers[(i + 1) % count].eid,
-                              ("rotation",
-                               w.rotate() if w.queue.rotating else (),
-                               w.known_state)))
+                send(workers[(i + 1) % count].eid,
+                     ("rotation", w.rotate() if w.queue.rotating else (),
+                      w.known_state), now)
+            sim.counters["rotation_messages"] += len(dirty)
             dirty.clear()
-            sim.counters["rotation_messages"] += len(items)
-            sim.send_all(items, now)
         if sim.jobs_done < sim.total_jobs:
             sim.schedule_at(now + sim.config.rotation_interval_us, self.eid,
                             ("round",))

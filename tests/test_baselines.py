@@ -83,12 +83,6 @@ def make_baseline_scheduler(algo, sim, worker_eids):
     return EagleScheduler(sim, 0, worker_eids, rng, Recorder(sim).eid)
 
 
-def one_send_per_probe(sim, deliveries, now_us):
-    """What ``send_all`` stands for: one ``send`` per delivery."""
-    for target, payload in deliveries:
-        sim.send(target, payload, now_us)
-
-
 def run_two_stages(algo, net_delay_us):
     """Two short one-stage jobs admitted at t=0, with timers due where
     their probes land; returns the delivery log, the events run() handled
@@ -107,8 +101,7 @@ def run_two_stages(algo, net_delay_us):
 
 @pytest.mark.parametrize("net_delay_us", [0, 5_000])
 @pytest.mark.parametrize("algo", ["sparrow", "eagle"])
-def test_fan_out_delivers_as_one_send_per_probe(algo, net_delay_us,
-                                                monkeypatch):
+def test_fan_out_delivers_as_one_send_per_probe(algo, net_delay_us):
     log, events, messages = run_two_stages(algo, net_delay_us)
     probes = [m for _, _, m in log if m[0] == "probe"]
     assert len(probes) == PROBE_RATIO * 5
@@ -118,8 +111,6 @@ def test_fan_out_delivers_as_one_send_per_probe(algo, net_delay_us,
     # Each probe is one message and one delivered event.
     assert messages == PROBE_RATIO * 5
     assert events == 2 + PROBE_RATIO * 5 + 2
-    monkeypatch.setattr(Simulation, "send_all", one_send_per_probe)
-    assert run_two_stages(algo, net_delay_us) == (log, events, messages)
 
 
 @pytest.mark.parametrize("bad", ["negative", "past the end"])

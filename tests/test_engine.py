@@ -170,58 +170,6 @@ def test_run_counts_messages_handled_and_can_resume():
     assert log[-1] == (2 * D, "b", "late")
 
 
-def one_send_per_pair(sim, deliveries, now_us):
-    """What ``send_all`` stands for: one ``send`` per pair."""
-    for target, payload in deliveries:
-        sim.send(target, payload, now_us)
-
-
-def run_send_all(net_delay_us, inside_run):
-    """A run of three messages sent with ``send_all`` at t=10, between
-    single sends and timers due at the instant the run lands, from a
-    handler or from outside ``run()``; returns the delivery log, the events
-    run() handled and the messages counted."""
-    sim, log, a, b, script = two_taps(net_delay_us)
-    lands = 10 + net_delay_us
-
-    def burst(now):
-        sim.send(b.eid, ("first",), now)
-        sim.schedule_at(lands, a.eid, ("timer before",))
-        before = sim.counters["messages"]
-        sim.send_all([(a.eid, ("m1",)), (b.eid, ("m2",)), (a.eid, ("m3",))],
-                     now)
-        assert sim.counters["messages"] == before + 3
-        sim.schedule_at(lands, b.eid, ("timer after",))
-        sim.send(a.eid, ("last",), now)
-
-    def later(now):
-        sim.schedule_at(lands, b.eid, ("later timer",))
-
-    sim.schedule_at(lands, a.eid, ("due",))
-    if inside_run:
-        sim.schedule_at(10, script.eid, ("run", burst))
-        sim.schedule_at(10, script.eid, ("run", later))
-    else:
-        burst(10)
-        later(10)
-    return log, sim.run(), sim.counters["messages"]
-
-
-@pytest.mark.parametrize("net_delay_us", [0, D])
-@pytest.mark.parametrize("inside_run", [True, False],
-                         ids=["inside-run", "outside-run"])
-def test_send_all_delivers_as_one_send_per_pair(inside_run, net_delay_us,
-                                                monkeypatch):
-    log, events, messages = run_send_all(net_delay_us, inside_run)
-    assert [tag for _, _, tag in log] == [
-        "due", "first", "timer before", "m1", "m2", "m3", "timer after",
-        "last", "later timer"]
-    assert {t for t, _, _ in log} == {10 + net_delay_us}
-    assert messages == 5
-    monkeypatch.setattr(Simulation, "send_all", one_send_per_pair)
-    assert run_send_all(net_delay_us, inside_run) == (log, events, messages)
-
-
 def test_event_cap_trips_on_a_fan_out():
     class Doubler:
         def __init__(self, sim):

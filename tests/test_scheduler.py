@@ -195,12 +195,6 @@ class LogRecorder:
             if isinstance(x, Probe) else x for x in payload)))
 
 
-def one_send_per_probe(sim, deliveries, now_us):
-    """What ``send_all`` stands for: one ``send`` per delivery."""
-    for target, payload in deliveries:
-        sim.send(target, payload, now_us)
-
-
 def run_two_stages(net_delay_us):
     """Two one-stage jobs admitted at t=0, with timers due where their
     probes land; returns the delivery log, the events run() handled and
@@ -218,7 +212,7 @@ def run_two_stages(net_delay_us):
 
 
 @pytest.mark.parametrize("net_delay_us", [0, 5_000])
-def test_fan_out_delivers_as_one_send_per_probe(net_delay_us, monkeypatch):
+def test_fan_out_delivers_as_one_send_per_probe(net_delay_us):
     log, events, messages = run_two_stages(net_delay_us)
     probes = [m for _, _, m in log if m[0] == "probe"]
     assert len(probes) == 5
@@ -229,8 +223,6 @@ def test_fan_out_delivers_as_one_send_per_probe(net_delay_us, monkeypatch):
     # Each probe is one message and one delivered event.
     assert messages == 5
     assert events == 2 + 5 + 2
-    monkeypatch.setattr(Simulation, "send_all", one_send_per_probe)
-    assert run_two_stages(net_delay_us) == (log, events, messages)
 
 
 # -- wiring ------------------------------------------------------------------

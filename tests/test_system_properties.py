@@ -5,19 +5,17 @@ Each run must launch and finish every task exactly once, keep workers
 busy for exactly the offered work, finish no job faster than its critical
 path, raise no SimulationError or ProtocolError (the driver also checks
 quiescence before it returns), and serialize to the same bytes when run
-again, and again with each ``Simulation.send_all`` replaced by one
-``send`` per message.  The network delay is drawn up to the rotation
-interval and is often 0 or equal to it.
+again.  The network delay is drawn up to the rotation interval and is
+often 0 or equal to it.
 """
 
 import json
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peacock_sim.driver import run_simulation
-from peacock_sim.engine import SimConfig, Simulation
+from peacock_sim.engine import SimConfig
 from peacock_sim.metrics import summarize
 from peacock_sim.workload import Stage, TraceRecord
 
@@ -50,12 +48,6 @@ def systems(draw):
     return config, jobs
 
 
-def one_send_per_pair(sim, deliveries, now_us):
-    """What ``send_all`` stands for: one ``send`` per pair."""
-    for target, payload in deliveries:
-        sim.send(target, payload, now_us)
-
-
 def serialized(result):
     report = summarize(result.records, result.counters, result.workers)
     return json.dumps({"report": report.to_dict(),
@@ -81,7 +73,3 @@ def test_tiny_systems_conserve_work_and_respect_critical_paths(system):
             assert r.jct_us >= paths[r.job_id], (algo, r)
         again = run_simulation(SimConfig(algo=algo, **config), jobs)
         assert serialized(again) == serialized(result), algo
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(Simulation, "send_all", one_send_per_pair)
-            one_by_one = run_simulation(SimConfig(algo=algo, **config), jobs)
-        assert serialized(one_by_one) == serialized(result), algo
