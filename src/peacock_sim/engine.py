@@ -1,19 +1,18 @@
 """Deterministic discrete-event core.
 
 The virtual clock is integer microseconds.  Events are totally ordered by
-(time, sequence number); the sequence number is a global send counter, so
-two events scheduled for the same instant are delivered in send order.
-Messages between entities incur the configured network delay; timers
-(task completions, ring rotation rounds) are delivered without delay.
+time, then by the order in which they were scheduled, so two events for
+the same instant are delivered in send order.  Messages between entities
+incur the configured network delay; timers (task completions, ring
+rotation rounds) are delivered without delay.
 
-A heap entry is a list of (target, payload) events for one instant.  The
-events that the handlers of one entry schedule for ``now + net_delay_us``
--- all their sends, and any timer due at that instant -- are collected in
-call order and pushed as one entry when the handlers return.  Nothing
-else can fall between them at that instant, so delivering the list in
-order is the (time, seq) order of pushing each event alone.  Events
-scheduled outside ``run()`` or for any other instant are pushed alone.
-Every delivered event counts toward the event cap.
+The pending events are one list per instant, in schedule order, and a
+heap of those instants.  ``run()`` takes the earliest instant's list and
+delivers it in order.  An event scheduled for that same instant while the
+list is delivered (a zero delay) starts a fresh list for it, which runs
+after the rest of the instant.  Every delivered event counts toward the
+event cap, which is checked after each instant's list, so at most one
+instant can run past it.
 """
 
 import hashlib
@@ -87,12 +86,10 @@ class Simulation:
         # Read once: every send adds it.
         self.net_delay_us = config.net_delay_us
         self.now = 0
-        self._heap = []
-        self._seq = 0
-        # While run() handles an entry: the instant now + net_delay_us and
-        # the events collected for it.  None outside run().
-        self._batch_us = None
-        self._batch = None
+        # A heap of the instants that have events pending, and each one's
+        # (target, payload) list in schedule order.
+        self._times = []
+        self._pending = {}
         self.entities = []
         self.counters = {
             "messages": 0,
@@ -115,12 +112,12 @@ class Simulation:
 
     def schedule_at(self, time_us, target, payload):
         """Schedule a timer event; not counted as a network message."""
-        if time_us == self._batch_us:
-            self._batch.append((target, payload))
+        events = self._pending.get(time_us)
+        if events is None:
+            self._pending[time_us] = [(target, payload)]
+            heapq.heappush(self._times, time_us)
         else:
-            heapq.heappush(self._heap,
-                           (time_us, self._seq, [(target, payload)]))
-            self._seq += 1
+            events.append((target, payload))
 
     def send(self, target, payload, now_us):
         """Deliver ``payload`` to ``target`` after the network delay."""
@@ -130,33 +127,26 @@ class Simulation:
         self.schedule_at(now_us + self.net_delay_us, target, payload)
 
     def run(self):
-        """Process events in (time, seq) order until the queue drains;
-        returns the number of events handled."""
-        heap = self._heap
+        """Process events in time order, each instant's in schedule order,
+        until none is pending; returns the number of events handled."""
+        times = self._times
+        pending = self._pending
         entities = self.entities
         cap = self.config.event_cap
-        delay = self.net_delay_us
         processed = 0
-        try:
-            while heap:
-                time_us, _seq, events = heapq.heappop(heap)
-                if time_us < self.now:
-                    raise SimulationError(
-                        "causality violation: event at %d before clock %d"
-                        % (time_us, self.now))
-                self.now = time_us
-                self._batch_us = time_us + delay
-                batch = self._batch = []
-                for target, payload in events:
-                    entities[target].handle(payload, time_us)
-                if batch:
-                    heapq.heappush(heap, (time_us + delay, self._seq, batch))
-                    self._seq += 1
-                processed += len(events)
-                if processed > cap:
-                    raise SimulationError(
-                        "event cap %d exceeded at t=%dus (%d/%d jobs done)"
-                        % (cap, self.now, self.jobs_done, self.total_jobs))
-        finally:
-            self._batch_us = self._batch = None
+        while times:
+            time_us = heapq.heappop(times)
+            if time_us < self.now:
+                raise SimulationError(
+                    "causality violation: event at %d before clock %d"
+                    % (time_us, self.now))
+            self.now = time_us
+            events = pending.pop(time_us)
+            for target, payload in events:
+                entities[target].handle(payload, time_us)
+            processed += len(events)
+            if processed > cap:
+                raise SimulationError(
+                    "event cap %d exceeded at t=%dus (%d/%d jobs done)"
+                    % (cap, self.now, self.jobs_done, self.total_jobs))
         return processed

@@ -1,5 +1,5 @@
-"""Event core tests: delivery order, delays, config validation, and
-end-to-end determinism of small runs."""
+"""Event core tests: delivery order, delays, the causality and event-cap
+guards, config validation, and end-to-end determinism of small runs."""
 
 import json
 
@@ -68,6 +68,36 @@ def test_event_cap_guards_against_runaway():
     p = Pingback(sim)
     sim.schedule_at(0, p.eid, ("loop",))
     with pytest.raises(SimulationError):
+        sim.run()
+
+
+def test_event_before_the_clock_after_a_run_is_a_causality_violation():
+    sim = Simulation(SimConfig(workers=1))
+    r = Recorder(sim)
+    sim.schedule_at(10, r.eid, ("t",))
+    sim.run()
+    sim.schedule_at(9, r.eid, ("late",))
+    with pytest.raises(SimulationError, match="causality violation: "
+                       "event at 9 before clock 10"):
+        sim.run()
+    assert r.inbox == [(10, ("t",))]
+
+
+def test_event_before_the_clock_from_a_handler_is_a_causality_violation():
+    class Backdater:
+        def __init__(self, sim):
+            self.sim = sim
+            self.eid = sim.add_entity(self)
+
+        def handle(self, payload, now):
+            if payload == ("now",):
+                self.sim.schedule_at(now - 1, self.eid, ("past",))
+
+    sim = Simulation(SimConfig(workers=1))
+    b = Backdater(sim)
+    sim.schedule_at(20, b.eid, ("now",))
+    with pytest.raises(SimulationError, match="causality violation: "
+                       "event at 19 before clock 20"):
         sim.run()
 
 
