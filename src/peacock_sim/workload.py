@@ -6,9 +6,11 @@ and timestamps in integer microseconds:
     {"id": "j1", "submit_us": 0, "stages": [{"durations_us": [...], "deps": []}]}
 
 An optional header line ``{"schema": "peacock-trace-1"}`` carries the
-format version.  ``submit_us`` may be omitted; arrivals can then be
-generated by a Poisson process calibrated to a target load.  Files ending
-in ``.gz`` are transparently decompressed.
+format version.  ``stages``, ``durations_us`` and ``deps`` must be arrays;
+an absent ``deps`` means none, and a dep may name a later stage as long
+as the deps form no cycle.  ``submit_us`` may be omitted; arrivals can
+then be generated by a Poisson process calibrated to a target load.
+Files ending in ``.gz`` are transparently decompressed.
 """
 
 import gzip
@@ -31,13 +33,13 @@ class LoadError(ValueError):
     """A target load that gives no positive, finite mean arrival gap."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Stage:
     durations_us: list
     deps: list = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     job_id: object
     submit_us: int = None
@@ -65,47 +67,88 @@ class TraceRecord:
         return max(longest(i) for i in range(len(self.stages)))
 
 
-def _validate(record):
-    """Return None if the record is valid, else a reason string.  Raises
-    TypeError if a duration or dep is not an int (a bool is not)."""
-    if not record.stages:
-        return "no stages"
-    reason = None
-    for stage in record.stages:
-        if not stage.durations_us:
-            reason = "empty stage"
-        for d in stage.durations_us:
+_decode = json.JSONDecoder().decode
+
+
+def _not(kind, name, value):
+    """The error for a ``name`` whose ``value`` is not ``kind``."""
+    return TraceError("%s %s is not %s" % (name, json.dumps(value), kind))
+
+
+def _parse_stages(stages):
+    """Build a record's stages from its decoded ``stages`` array.
+
+    Returns ``(stages, valid)``.  A job is invalid, and pruned, if it has
+    no stages, an empty stage, a non-positive duration, a dep out of range
+    or cyclic deps.  A value of the wrong type raises TraceError, also in
+    an invalid job; a missing key raises KeyError.  The arrays ``json``
+    returned are kept, not copied.
+
+    Acyclicity is checked by sweeps in index order: a stage is marked once
+    all its deps are marked, and a sweep that marks nothing leaves only
+    stages on or behind a cycle.  The first sweep is this walk over the
+    stages, so a job whose deps all point to earlier stages needs no
+    other; deps that point forward are valid when acyclic.
+    """
+    if type(stages) is not list:
+        raise _not("an array", "stages", stages)
+    n = len(stages)
+    valid = n > 0
+    marked = [False] * n
+    unmarked = []
+    built = []
+    for i, stage in enumerate(stages):
+        if type(stage) is not dict:
+            raise _not("an object", "stage", stage)
+        durations = stage["durations_us"]
+        if type(durations) is not list:
+            raise _not("an array", "durations_us", durations)
+        if not durations:
+            valid = False
+        for d in durations:
             if type(d) is not int:
-                raise TypeError("duration %r is not an integer" % (d,))
+                raise _not("an integer", "duration", d)
             if d <= 0:
-                reason = "non-positive duration"
-        for d in stage.deps:
+                valid = False
+        if "deps" in stage:
+            deps = stage["deps"]
+            if type(deps) is not list:
+                raise _not("an array", "deps", deps)
+        else:
+            deps = []
+        ready = True
+        for d in deps:
             if type(d) is not int:
-                raise TypeError("dep %r is not an integer" % (d,))
-            if not 0 <= d < len(record.stages):
-                reason = "dep out of range"
-    if reason is not None:
-        return reason
-    # Cycle check by iterative removal of dep-free stages.
-    remaining = {i: set(s.deps) for i, s in enumerate(record.stages)}
-    while remaining:
-        ready = [i for i, deps in remaining.items() if not deps]
-        if not ready:
-            return "cyclic deps"
-        for i in ready:
-            del remaining[i]
-        for deps in remaining.values():
-            deps.difference_update(ready)
-    return None
+                raise _not("an integer", "dep", d)
+            if not 0 <= d < n:
+                valid = False
+            elif not marked[d]:
+                ready = False
+        if ready:
+            marked[i] = True
+        else:
+            unmarked.append(i)
+        built.append(Stage(durations, deps))
+    while valid and unmarked:
+        left = []
+        for i in unmarked:
+            if all(marked[d] for d in built[i].deps):
+                marked[i] = True
+            else:
+                left.append(i)
+        valid = len(left) < len(unmarked)
+        unmarked = left
+    return built, valid
 
 
 def load_trace(path):
     """Parse a trace file.
 
     Returns ``(records, dropped)`` where ``dropped`` counts invalid jobs
-    that were pruned.  Malformed lines and values of the wrong type are
-    fatal and reported with their line number; a file that cannot be
-    opened, decompressed or decoded as UTF-8 is reported with its path.
+    that were pruned.  Malformed lines, missing keys and values of the
+    wrong type are fatal and reported with their line number; a file that
+    cannot be opened, decompressed or decoded as UTF-8 is reported with
+    its path.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
     try:
@@ -125,26 +168,24 @@ def _parse_lines(lines):
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            obj = _decode(line)
         except json.JSONDecodeError as exc:
             raise TraceError("line %d: invalid JSON (%s)" % (lineno, exc))
         try:
+            if type(obj) is not dict:
+                raise _not("an object", "record", obj)
             if "schema" in obj and "id" not in obj:
                 if obj["schema"] != SCHEMA:
-                    raise TraceError("line %d: unsupported schema %r"
-                                     % (lineno, obj["schema"]))
+                    raise TraceError("unsupported schema %r" % (obj["schema"],))
                 continue
-            record = TraceRecord(
-                job_id=obj["id"],
-                submit_us=obj.get("submit_us"),
-                stages=[Stage(list(s["durations_us"]), list(s.get("deps", [])))
-                        for s in obj["stages"]],
-            )
-            valid = _validate(record) is None
-        except (KeyError, TypeError) as exc:
-            raise TraceError("line %d: bad record (%s)" % (lineno, exc))
+            job_id = obj["id"]
+            stages, valid = _parse_stages(obj["stages"])
+        except KeyError as exc:
+            raise TraceError("line %d: missing %s"
+                             % (lineno, json.dumps(exc.args[0]))) from None
+        except TraceError as exc:
+            raise TraceError("line %d: %s" % (lineno, exc)) from None
         # Ids are compared as printed: 1 and "1" name the same job.
-        job_id = record.job_id
         if type(job_id) is str:
             printed = job_id
         elif type(job_id) is int:
@@ -155,13 +196,13 @@ def _parse_lines(lines):
         if printed in seen_ids:
             raise TraceError("line %d: duplicate job id %r"
                              % (lineno, job_id))
-        submit = record.submit_us
+        submit = obj.get("submit_us")
         if submit is not None and (type(submit) is not int or submit < 0):
             raise TraceError("line %d: submit_us %r is not a non-negative "
                              "integer" % (lineno, submit))
         seen_ids.add(printed)
         if valid:
-            records.append(record)
+            records.append(TraceRecord(job_id, submit, stages))
         else:
             dropped += 1
     return records, dropped

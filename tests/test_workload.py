@@ -1,11 +1,14 @@
 """Workload tests: trace parsing and validation, load calibration, and
 synthetic generator statistics."""
 
+import graphlib
 import gzip
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peacock_sim.workload import (SCHEMA, LoadError, Stage, SyntheticSpec,
                                   TraceError, TraceRecord, generate,
@@ -52,10 +55,32 @@ def test_invalid_jobs_are_pruned_not_fatal(tmp_path):
         {"id": "cycle", "submit_us": 0,
          "stages": [{"durations_us": [US], "deps": [1]},
                     {"durations_us": [US], "deps": [0]}]},
+        {"id": "empty-stage", "submit_us": 0,
+         "stages": [{"durations_us": [US]},
+                    {"durations_us": [], "deps": [0]}]},
+        {"id": "self", "submit_us": 0,
+         "stages": [{"durations_us": [US], "deps": [0]}]},
+        {"id": "three-cycle", "submit_us": 0,
+         "stages": [{"durations_us": [US]},
+                    {"durations_us": [US], "deps": [3]},
+                    {"durations_us": [US], "deps": [1]},
+                    {"durations_us": [US], "deps": [2]}]},
+        # Deps may point forward when they form no cycle.  Sweeping in
+        # index order marks one stage of "reversed" per sweep.
+        {"id": "forward", "submit_us": 0,
+         "stages": [{"durations_us": [US], "deps": [1]},
+                    {"durations_us": [2 * US]}]},
+        {"id": "reversed", "submit_us": 0,
+         "stages": [{"durations_us": [US], "deps": [1]},
+                    {"durations_us": [US], "deps": [2]},
+                    {"durations_us": [US], "deps": [3]},
+                    {"durations_us": [US]}]},
     ])
     records, dropped = load_trace(path)
-    assert [r.job_id for r in records] == ["ok"]
-    assert dropped == 4
+    assert [r.job_id for r in records] == ["ok", "forward", "reversed"]
+    assert records[1].stages[0].deps == [1]
+    assert records[1].critical_path_us() == 3 * US
+    assert dropped == 7
 
 
 def test_malformed_json_is_fatal_with_line_number(tmp_path):
@@ -65,26 +90,114 @@ def test_malformed_json_is_fatal_with_line_number(tmp_path):
         load_trace(path)
 
 
-@pytest.mark.parametrize("bad", [
-    {"id": "b", "stages": [{"durations_us": [1500.5]}]},
-    {"id": "b", "stages": [{"durations_us": [True]}]},
-    {"id": "b", "stages": [{"durations_us": ["5"]}]},
-    {"id": "b", "stages": [{"durations_us": [US]}, {"durations_us": [US],
-                                                    "deps": ["0"]}]},
-    {"id": "b", "submit_us": 1.5, "stages": [{"durations_us": [US]}]},
-    {"id": "b", "submit_us": -5, "stages": [{"durations_us": [US]}]},
-    {"id": ["b"], "stages": [{"durations_us": [US]}]},
-    5,
-    {"id": None, "stages": [{"durations_us": [US]}]},
-    {"id": 1.0, "stages": [{"durations_us": [US]}]},
-    {"id": True, "stages": [{"durations_us": [US]}]},
+@st.composite
+def dag_lines(draw):
+    """Trace lines of 1-4 jobs, each a random graph of 1-6 stages whose
+    deps may point forward, at the stage itself, or round a cycle."""
+    lines = []
+    for i in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 6))
+        stages = []
+        for _ in range(n):
+            stage = {"durations_us": draw(st.lists(st.integers(1, 5 * US),
+                                                   min_size=1, max_size=3))}
+            deps = draw(st.none() | st.lists(st.integers(0, n - 1),
+                                             max_size=3))
+            if deps is not None:
+                stage["deps"] = deps
+            stages.append(stage)
+        line = {"id": draw(st.sampled_from([i, "j%d" % i])), "stages": stages}
+        submit = draw(st.none() | st.integers(0, 10 * US))
+        if submit is not None:
+            line["submit_us"] = submit
+        lines.append(line)
+    return lines
+
+
+def is_cyclic(stages):
+    graph = {i: s.get("deps", []) for i, s in enumerate(stages)}
+    try:
+        graphlib.TopologicalSorter(graph).prepare()
+    except graphlib.CycleError:
+        return True
+    return False
+
+
+def fields(record):
+    return (record.job_id, record.submit_us,
+            [(s.durations_us, s.deps) for s in record.stages])
+
+
+@settings(max_examples=200, deadline=None)
+@given(dag_lines())
+def test_jobs_are_pruned_exactly_when_graphlib_finds_a_cycle(
+        tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "oracle.jsonl"
+    write_lines(path, lines)
+    records, dropped = load_trace(path)
+    kept = [line for line in lines if not is_cyclic(line["stages"])]
+    assert dropped == len(lines) - len(kept)
+    assert [fields(r) for r in records] == [
+        (line["id"], line.get("submit_us"),
+         [(s["durations_us"], s.get("deps", [])) for s in line["stages"]])
+        for line in kept]
+    save_trace(records, path)
+    again, dropped = load_trace(path)
+    assert dropped == 0
+    assert [fields(r) for r in again] == [fields(r) for r in records]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"id": "b", "stages": [{"durations_us": [1500.5]}]}, "line 2"),
+    ({"id": "b", "stages": [{"durations_us": [True]}]}, "line 2"),
+    ({"id": "b", "stages": [{"durations_us": ["5"]}]}, "line 2"),
+    ({"id": "b", "stages": [{"durations_us": [US]},
+                            {"durations_us": [US], "deps": ["0"]}]},
+     "line 2"),
+    ({"id": "b", "submit_us": 1.5, "stages": [{"durations_us": [US]}]},
+     "line 2"),
+    ({"id": "b", "submit_us": -5, "stages": [{"durations_us": [US]}]},
+     "line 2"),
+    ({"id": ["b"], "stages": [{"durations_us": [US]}]}, "line 2"),
+    (5, "^line 2: record 5 is not an object$"),
+    ({"id": None, "stages": [{"durations_us": [US]}]}, "line 2"),
+    ({"id": 1.0, "stages": [{"durations_us": [US]}]}, "line 2"),
+    ({"id": True, "stages": [{"durations_us": [US]}]}, "line 2"),
+    ({"id": "b", "stages": [{"durations_us": [US], "deps": ""}]},
+     '^line 2: deps "" is not an array$'),
+    ({"id": "b", "stages": [{"durations_us": [US], "deps": {}}]},
+     r"^line 2: deps \{\} is not an array$"),
+    ({"id": "b", "stages": [{"durations_us": [US], "deps": None}]},
+     "^line 2: deps null is not an array$"),
+    ({"id": "b", "stages": [{"durations_us": ""}]},
+     '^line 2: durations_us "" is not an array$'),
+    ({"id": "b", "stages": [{"durations_us": {}}]},
+     r"^line 2: durations_us \{\} is not an array$"),
+    ({"id": "b", "stages": ""}, '^line 2: stages "" is not an array$'),
+    ({"id": "b", "stages": {}}, r"^line 2: stages \{\} is not an array$"),
+    ({"id": "b", "stages": [[5]]}, r"^line 2: stage \[5\] is not an object$"),
+    ({"id": "b"}, '^line 2: missing "stages"$'),
+    ({"stages": [{"durations_us": [US]}]}, '^line 2: missing "id"$'),
+    ({"id": "b", "stages": [{"deps": []}]},
+     '^line 2: missing "durations_us"$'),
+    # A wrong type is fatal even in a job that would be pruned.
+    ({"id": "b", "stages": [{"durations_us": [0]},
+                            {"durations_us": [US], "deps": ""}]},
+     '^line 2: deps "" is not an array$'),
+    ({"id": "b", "stages": [{"durations_us": [US], "deps": [0]},
+                            {"durations_us": [True]}]},
+     "^line 2: duration true is not an integer$"),
 ], ids=["float-duration", "bool-duration", "string-duration", "string-dep",
         "float-submit", "negative-submit", "list-id", "not-an-object",
-        "null-id", "float-id", "bool-id"])
-def test_bad_values_are_fatal_with_line_number(tmp_path, bad):
+        "null-id", "float-id", "bool-id", "string-deps", "object-deps",
+        "null-deps", "string-durations", "object-durations",
+        "string-stages", "object-stages", "array-stage", "missing-stages",
+        "missing-id", "missing-durations", "bad-deps-in-invalid-job",
+        "bad-duration-in-cyclic-job"])
+def test_bad_values_are_fatal_with_line_number(tmp_path, bad, message):
     path = tmp_path / "t.jsonl"
     write_lines(path, [{"id": "a", "stages": [{"durations_us": [US]}]}, bad])
-    with pytest.raises(TraceError, match="line 2"):
+    with pytest.raises(TraceError, match=message):
         load_trace(path)
 
 
