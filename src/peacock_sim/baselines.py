@@ -26,7 +26,7 @@ from collections import deque
 from .engine import ProtocolError, US_PER_S
 from .probes import Probe
 from .scheduler import Scheduler, pick_workers
-from .worker import IDLE, SlotWorker
+from .worker import SlotWorker
 
 PROBE_RATIO = 2                 # probes per sampled task, both baselines
 LONG_CUTOFF_US = 3 * US_PER_S   # Eagle: a longer stage is placed centrally
@@ -42,7 +42,7 @@ class SparrowWorker(SlotWorker):
         self.queue = deque()
 
     def on_probe_arrival(self, probe, now):
-        if self.slot == IDLE and not self.queue:
+        if self.slot is None and not self.queue:
             self._reserve(probe, now)
         else:
             self.queue.append(probe)
@@ -76,7 +76,7 @@ class EagleWorker(SlotWorker):
             target = self.rng.choice(self.short_worker_eids)
             self.sim.send(target, ("probe", probe), now)
             return
-        if self.slot == IDLE and not self.queue:
+        if self.slot is None and not self.queue:
             self._reserve(probe, now)
             return
         probe.enqueued_us = now

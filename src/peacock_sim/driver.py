@@ -7,7 +7,7 @@ from .baselines import (SHORT_FRACTION, EagleCentral, EagleScheduler,
                         EagleWorker, SparrowScheduler, SparrowWorker)
 from .engine import SimConfig, Simulation, SimulationError, derived_rng
 from .scheduler import PeacockScheduler
-from .worker import IDLE, PeacockWorker, Ring
+from .worker import PeacockWorker, Ring
 
 
 @dataclass
@@ -113,7 +113,7 @@ def _check_quiescence(sim, workers, schedulers, total_jobs):
                 "scheduler %d aggregate not drained: (%d, %d)"
                 % (s.sid, s.probe_count, s.load_us))
     for w in workers:
-        if w.slot != IDLE:
+        if w.slot is not None:
             raise SimulationError("worker %d not idle at quiescence" % w.index)
         if len(w.queue) or (isinstance(w, PeacockWorker) and w.queue.rotating):
             raise SimulationError("worker %d still holds probes" % w.index)

@@ -1,7 +1,7 @@
 """Per-job records, run reports, and cross-run comparison."""
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from operator import add
 
@@ -44,17 +44,7 @@ class Report:
     counters: dict
 
     def to_dict(self):
-        return {
-            "jobs": self.jobs,
-            "ajct_s": self.ajct_s,
-            "percentiles_s": dict(self.percentiles_s),
-            "cdf": [list(p) for p in self.cdf],
-            "mean_rotations_per_probe": self.mean_rotations_per_probe,
-            "mean_rotations_per_task": self.mean_rotations_per_task,
-            "utilization": self.utilization,
-            "makespan_s": self.makespan_s,
-            "counters": dict(self.counters),
-        }
+        return asdict(self)
 
 
 def percentile(sorted_values, q):

@@ -6,9 +6,11 @@ its scheduler for the task; the scheduler answers ``assign`` (or, when it
 has no task left for the probe, ``cancel``); the task runs until its
 ``complete`` timer, the worker reports ``task_finish`` and then reserves
 for the next probe of its queue or goes idle.  While reserved, the worker
-neither executes nor pulls another probe.  Each algorithm's worker adds
-only its arrival rule, its queue order and a hook run after the finish
-report.
+neither executes nor pulls another probe.  Two attributes hold the slot's
+state: ``slot`` is the probe that holds it (None while idle), and
+``finish_us`` the instant its task ends (None while reserved or idle).
+Each algorithm's worker adds only its arrival rule, its queue order and a
+hook run after the finish report.
 
 ``PeacockWorker`` is one node of the ring.  Its elastic queue sees a
 remaining runtime of zero while the slot is reserved.  Probes marked for
@@ -32,26 +34,21 @@ never the sender's live rotating buffer.
 from .engine import ProtocolError
 from .probes import EMPTY_STATE, WaitingQueue
 
-IDLE = "idle"
-RESERVED = "reserved"
-RUNNING = "running"
-
 
 class SlotWorker:
-    """A single execution slot fed from a probe queue.  Subclasses define
-    ``on_probe_arrival`` and ``_pop_queue`` (the next probe, or None);
-    ``PeacockWorker`` replaces ``handle`` and takes probes in ``accept``."""
+    """A single execution slot fed from a probe queue.  ``slot`` is the
+    probe that holds the slot, None while it is idle; ``finish_us`` is the
+    instant that probe's task ends, None while reserved or idle.
+    Subclasses define ``on_probe_arrival`` and ``_pop_queue`` (the next
+    probe, or None); ``PeacockWorker`` replaces ``handle`` and takes probes
+    in ``accept``."""
 
     def __init__(self, sim, index):
         self.sim = sim
         self.index = index
         self.eid = sim.add_entity(self)
-        self.slot = IDLE
-        self.reserved_probe = None
-        self.running_probe = None
-        self.running_task_id = None
-        self.running_duration_us = 0
-        self.finish_us = 0
+        self.slot = None
+        self.finish_us = None
 
     def handle(self, payload, now):
         kind = payload[0]
@@ -63,45 +60,44 @@ class SlotWorker:
         elif kind == "cancel":
             self.on_task_cancel(payload[1], now)
         elif kind == "complete":
-            self.on_task_complete(now)
+            _, task_id, duration_us = payload
+            self.on_task_complete(task_id, duration_us, now)
         else:
             raise ProtocolError("worker %d: unknown payload %r"
                                 % (self.index, kind))
 
     def _reserve(self, probe, now):
-        self.slot = RESERVED
-        self.reserved_probe = probe
+        self.slot = probe
         self.sim.send(probe.scheduler, ("task_request", probe, self.eid), now)
 
     def _take_reservation(self, probe_key, what):
-        if self.slot != RESERVED or self.reserved_probe.key != probe_key:
+        probe = self.slot
+        if (probe is None or probe.key != probe_key
+                or self.finish_us is not None):
             raise ProtocolError("worker %d: %s without matching reservation"
                                 % (self.index, what))
-        probe = self.reserved_probe
-        self.reserved_probe = None
-        return probe
 
     def on_task_assign(self, probe_key, task_id, duration_us, now):
-        self.running_probe = self._take_reservation(probe_key,
-                                                    "task assignment")
-        self.slot = RUNNING
-        self.running_task_id = task_id
-        self.running_duration_us = duration_us
+        self._take_reservation(probe_key, "task assignment")
         self.finish_us = now + duration_us
-        self.sim.schedule_at(self.finish_us, self.eid, ("complete",))
+        self.sim.schedule_at(self.finish_us, self.eid,
+                             ("complete", task_id, duration_us))
 
     def on_task_cancel(self, probe_key, now):
         self._take_reservation(probe_key, "cancel")
         self._next_or_idle(now)
 
-    def on_task_complete(self, now):
-        probe = self.running_probe
-        self.running_probe = None
+    def on_task_complete(self, task_id, duration_us, now):
+        if self.finish_us != now:
+            raise ProtocolError("worker %d: complete without a task ending now"
+                                % self.index)
+        probe = self.slot
+        self.finish_us = None
         sim = self.sim
         sim.counters["tasks_finished"] += 1
-        sim.counters["busy_us"] += self.running_duration_us
+        sim.counters["busy_us"] += duration_us
         sim.send(probe.scheduler,
-                 ("task_finish", probe.job_id, self.running_task_id, now), now)
+                 ("task_finish", probe.job_id, task_id, now), now)
         self._finished(probe, now)
         self._next_or_idle(now)
 
@@ -111,7 +107,7 @@ class SlotWorker:
     def _next_or_idle(self, now):
         head = self._pop_queue()
         if head is None:
-            self.slot = IDLE
+            self.slot = None
         else:
             self._reserve(head, now)
 
@@ -147,7 +143,8 @@ class PeacockWorker(SlotWorker):
             self.adopt_shared_state(state)
             self.on_task_assign(probe_key, task_id, duration_us, now)
         elif kind == "complete":
-            self.on_task_complete(now)
+            _, task_id, duration_us = payload
+            self.on_task_complete(task_id, duration_us, now)
         else:
             raise ProtocolError("worker %d: unknown payload %r"
                                 % (self.index, kind))
@@ -161,12 +158,10 @@ class PeacockWorker(SlotWorker):
         held = self.held
         queue = self.queue
         state = self.known_state
-        idle = self.slot == IDLE
+        idle = self.slot is None
         # The slot's remaining runtime; reserving keeps it at 0.
-        if self.slot == RUNNING:
-            delta = max(0, self.finish_us - now)
-        else:
-            delta = 0
+        finish_us = self.finish_us
+        delta = 0 if finish_us is None else finish_us - now
         for probe in probes:
             key = probe.key
             if key in held:
@@ -186,14 +181,13 @@ class PeacockWorker(SlotWorker):
 
     def adopt_shared_state(self, state):
         """Adopt a fresher shared state and re-trim the queue to its
-        quotas; return the evicted probes."""
+        quotas."""
         if state.version <= self.known_state.version:
-            return []
+            return
         self.known_state = state
         self.dirty.add(self.index)
-        if not self.queue.entries:
-            return []
-        return self.queue.trim_to_quota(state)
+        if self.queue.entries:
+            self.queue.trim_to_quota(state)
 
     def _pop_queue(self):
         return self.queue.pop_head()
@@ -243,6 +237,8 @@ class Ring:
             w.dirty = self.dirty
 
     def handle(self, payload, now):
+        if payload[0] != "round":
+            raise ProtocolError("ring: unknown payload %r" % (payload[0],))
         workers = self.workers
         count = len(workers)
         dirty = self.dirty

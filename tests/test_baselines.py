@@ -131,7 +131,7 @@ def test_sparrow_worker_queue_is_fifo():
     w = SparrowWorker(sim, 0)
     first = probe(("a", 0), ("probe", 0), 5, scheduler=sched.eid)
     w.handle(("probe", first), 0)
-    assert w.slot == "reserved"
+    assert w.slot is first and w.finish_us is None
     later = [probe(("b", 0), ("probe", i), 1, scheduler=sched.eid)
              for i in range(3)]
     for i, p in enumerate(later):
@@ -193,7 +193,7 @@ def test_eagle_long_probe_on_short_partition_is_protocol_violation():
 
 def test_eagle_queue_orders_shortest_first():
     sim, w, sched, _ = make_eagle_worker()
-    w.slot = "running"
+    w.slot, w.finish_us = probe(("r", 0), 0, 1, scheduler=sched.eid), 10 * US
     w.handle(("probe", probe(("a", 0), ("probe", 0), 3,
                              scheduler=sched.eid)), 0)
     w.handle(("probe", probe(("b", 0), ("probe", 0), 1,
@@ -205,7 +205,7 @@ def test_eagle_queue_orders_shortest_first():
 
 def test_eagle_starvation_bound_blocks_bypass():
     sim, w, sched, _ = make_eagle_worker()
-    w.slot = "running"
+    w.slot, w.finish_us = probe(("r", 0), 0, 1, scheduler=sched.eid), 10 * US
     w.handle(("probe", probe(("old", 0), ("probe", 0), 3,
                              scheduler=sched.eid)), 0)
     # 6s later the old probe has aged past the 5 s bound: no more bypassing.

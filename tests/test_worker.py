@@ -5,7 +5,9 @@ import pytest
 
 from peacock_sim.engine import ProtocolError, SimConfig, Simulation
 from peacock_sim.probes import Probe, SharedState, WaitingQueue
-from peacock_sim.worker import IDLE, RESERVED, RUNNING, PeacockWorker, Ring
+from peacock_sim.baselines import EagleWorker, SparrowWorker
+from peacock_sim.engine import derived_rng
+from peacock_sim.worker import PeacockWorker, Ring
 
 US = 1_000_000
 
@@ -61,27 +63,25 @@ def probe(job, task=0, lam=0, theta=5, mu=100, scheduler=None):
                  scheduler=scheduler)
 
 
-def run_busy(worker, sched):
-    """Occupy the slot so that arriving probes queue or rotate."""
-    worker.slot = RUNNING
-    worker.running_probe = probe("r", scheduler=sched.eid)
-    worker.finish_us = 500 * US
+def run_busy(worker, sched, finish_s=500):
+    """Occupy the slot with a task running until ``finish_s``, so that
+    arriving probes queue or rotate."""
+    worker.slot = probe("r", scheduler=sched.eid)
+    worker.finish_us = finish_s * US
 
 
 def test_idle_worker_reserves_and_requests_task():
     sim, worker, sched, _ = make_worker()
     p = probe("j", scheduler=sched.eid)
     worker.handle(("probe", p, state(5, 100)), 0)
-    assert worker.slot == RESERVED and worker.reserved_probe is p
+    assert worker.slot is p and worker.finish_us is None
     drain(sim)
     assert sched.inbox == [(5_000, ("task_request", p, worker.eid))]
 
 
 def test_busy_worker_enqueues_without_message():
     sim, worker, sched, _ = make_worker()
-    worker.slot = RUNNING
-    worker.running_probe = probe("r", scheduler=sched.eid)
-    worker.finish_us = 50 * US
+    run_busy(worker, sched, finish_s=50)
     p = probe("j", scheduler=sched.eid)
     worker.handle(("probe", p, state(5, 100)), 10 * US)
     assert worker.queue.entries == [p]
@@ -91,9 +91,7 @@ def test_busy_worker_enqueues_without_message():
 
 def test_tight_quota_sends_probe_to_rotating_buffer():
     sim, worker, sched, _ = make_worker()
-    worker.slot = RUNNING
-    worker.running_probe = probe("r", scheduler=sched.eid)
-    worker.finish_us = 50 * US
+    run_busy(worker, sched, finish_s=50)
     p = probe("j", scheduler=sched.eid)
     worker.handle(("probe", p, state(1, 1000)), 10 * US)
     assert worker.queue.entries == []
@@ -138,7 +136,7 @@ def test_rotate_sends_each_jobs_probes_together_as_the_same_objects():
     assert all(got is want for got, want in zip(sent, (a0, a1, b0)))
     assert [p.rotations for p in sent] == [1, 1, 1]
     # The idle successor reserved its slot for the first and took the rest.
-    assert successor.reserved_probe is a0
+    assert successor.slot is a0
     assert successor.held == {a0.key, a1.key, b0.key}
 
 
@@ -276,6 +274,17 @@ class JobFinisher:
         self.sim.jobs_done += 1
 
 
+@pytest.mark.parametrize("payload", [("rotation", (), state(5, 100)),
+                                     ("complete", 0, 1)],
+                         ids=["rotation", "complete"])
+def test_ring_rejects_any_payload_but_round(payload):
+    sim, worker, _, ring = make_worker()
+    worker.adopt_shared_state(state(5, 100, version=(1, 0)))
+    with pytest.raises(ProtocolError, match="ring: unknown payload"):
+        ring.handle(payload, 1 * US)
+    assert sim.run() == 0
+
+
 def test_ring_stops_rearming_once_all_jobs_are_done():
     sim, _, _, ring = make_worker()
     interval = sim.config.rotation_interval_us
@@ -299,9 +308,7 @@ def test_adopt_same_version_is_noop():
 
 def test_adopt_smaller_quota_trims_queue():
     sim, worker, sched, _ = make_worker()
-    worker.slot = RUNNING
-    worker.running_probe = probe("r", scheduler=sched.eid)
-    worker.finish_us = 500 * US
+    run_busy(worker, sched)
     s = state(10, 10_000, version=(1, 0))
     for task in range(4):
         worker.handle(("probe", probe("j", task=task, mu=10_000,
@@ -315,16 +322,17 @@ def test_adopt_smaller_quota_trims_queue():
 
 def test_adopt_larger_quota_evicts_nothing():
     sim, worker, sched, _ = make_worker()
-    worker.slot = RUNNING
-    worker.running_probe = probe("r", scheduler=sched.eid)
-    worker.finish_us = 500 * US
+    run_busy(worker, sched)
     s = state(10, 10_000, version=(1, 0))
     for task in range(4):
         worker.handle(("probe", probe("j", task=task, mu=10_000,
                                       scheduler=sched.eid),
                        s), 10 * US)
-    assert worker.adopt_shared_state(state(50, 99_000, version=(2, 0))) == []
-    assert len(worker.queue.entries) == 4
+    before = list(worker.queue.entries)
+    assert len(before) == 4
+    worker.adopt_shared_state(state(50, 99_000, version=(2, 0)))
+    assert worker.queue.entries == before
+    assert worker.queue.rotating == []
 
 
 def test_assign_runs_task_and_completion_promotes_queue():
@@ -335,7 +343,7 @@ def test_assign_runs_task_and_completion_promotes_queue():
     worker.handle(("probe", q, state(5, 100)), 1 * US)
     assert worker.queue.entries == [q]
     worker.handle(("assign", ("j", 0), 0, 68 * US, state(5, 100)), 10 * US)
-    assert worker.slot == RUNNING
+    assert worker.slot is p
     assert worker.finish_us == 78 * US
     sim.run()
     # Completion at t=78 notified the scheduler and promoted q.
@@ -351,7 +359,7 @@ def test_completion_with_empty_queue_goes_idle():
     worker.handle(("probe", p, state(5, 100)), 0)
     worker.handle(("assign", ("j", 0), 0, 10 * US, state(5, 100)), 0)
     sim.run()
-    assert worker.slot == IDLE
+    assert worker.slot is None and worker.finish_us is None
     assert worker.queue.entries == []
 
 
@@ -359,3 +367,91 @@ def test_assign_without_reservation_is_protocol_violation():
     sim, worker, _, _ = make_worker()
     with pytest.raises(ProtocolError):
         worker.handle(("assign", ("j", 0), 0, 10 * US, state(5, 100)), 0)
+
+
+# -- the slot, on every algorithm's worker -----------------------------------
+
+SLOT_WORKERS = [PeacockWorker, SparrowWorker, EagleWorker]
+
+
+def make_slot_worker(cls):
+    """A worker of class ``cls``, its scheduler stand-in, and a function that
+    builds a message to the worker from its kind and fields (Peacock's
+    messages carry a shared state too)."""
+    sim = Simulation(SimConfig(workers=2, net_delay_us=0))
+    sched = Recorder(sim)
+    if cls is EagleWorker:
+        worker = cls(sim, 0, "general", short_worker_eids=[sched.eid],
+                     rng=derived_rng(0, "w"))
+    else:
+        worker = cls(sim, 0)
+    if cls is PeacockWorker:
+        s = state(5, 100)
+        return sim, worker, sched, lambda *message: message + (s,)
+    return sim, worker, sched, lambda *message: message
+
+
+@pytest.mark.parametrize("cls", SLOT_WORKERS, ids=lambda c: c.__name__)
+def test_slot_holds_its_probe_and_finish_through_the_lifecycle(cls):
+    sim, worker, sched, message = make_slot_worker(cls)
+    # Estimates below 3 s are short for Eagle, so no probe leaves for the
+    # placer; r's longer one keeps it behind q in every queue order.
+    p, q, r, t = (probe(job, theta=theta, scheduler=sched.eid)
+                  for job, theta in zip("pqrt", (1, 1, 2, 1)))
+
+    def slot():
+        return worker.slot, worker.finish_us
+
+    assert slot() == (None, None)
+    worker.handle(message("probe", p), 0)
+    assert slot() == (p, None)
+    for x in (q, r):
+        worker.handle(message("probe", x), 1 * US)
+    assert slot() == (p, None)
+    worker.handle(message("assign", p.key, 0, 10 * US), 2 * US)
+    assert slot() == (p, 12 * US)
+    # The complete timer at 12 s reports p's task and reserves for q.
+    sim.run()
+    assert sim.now == 12 * US and slot() == (q, None)
+    finishes = [m for _, m in sched.inbox if m[0] == "task_finish"]
+    assert finishes == [("task_finish", p.job_id, 0, 12 * US)]
+    assert sim.counters["busy_us"] == 10 * US
+    if cls is PeacockWorker:
+        # Peacock's schedulers have a task for every probe; run q's.
+        worker.handle(message("assign", q.key, 1, 1 * US), sim.now)
+        sim.run()
+    else:
+        worker.handle(("cancel", q.key), sim.now)
+    assert slot() == (r, None)
+    worker.handle(message("assign", r.key, 2, 1 * US), sim.now)
+    sim.run()
+    assert slot() == (None, None)
+    if cls is not PeacockWorker:
+        worker.handle(message("probe", t), sim.now)
+        assert slot() == (t, None)
+        worker.handle(("cancel", t.key), sim.now)
+        assert slot() == (None, None)
+
+
+@pytest.mark.parametrize("cls", SLOT_WORKERS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("phase", ["idle", "reserved", "running"])
+def test_complete_outside_its_tasks_end_is_protocol_violation(cls, phase):
+    sim, worker, sched, message = make_slot_worker(cls)
+    p = probe("j", theta=1, scheduler=sched.eid)
+    if phase != "idle":
+        worker.handle(message("probe", p), 0)
+    if phase == "running":
+        worker.handle(message("assign", p.key, 0, 10 * US), 0)
+    with pytest.raises(ProtocolError, match="complete without a task"):
+        worker.handle(("complete", 0, 10 * US), 5 * US)
+
+
+@pytest.mark.parametrize("cls", SLOT_WORKERS, ids=lambda c: c.__name__)
+def test_assign_on_a_running_slot_is_protocol_violation(cls):
+    sim, worker, sched, message = make_slot_worker(cls)
+    p = probe("j", theta=1, scheduler=sched.eid)
+    worker.handle(message("probe", p), 0)
+    worker.handle(message("assign", p.key, 0, 10 * US), 0)
+    with pytest.raises(ProtocolError, match="without matching reservation"):
+        worker.handle(message("assign", p.key, 0, 10 * US), 1 * US)
+    assert worker.slot is p and worker.finish_us == 10 * US
