@@ -104,9 +104,10 @@ def run_simulation(config, records):
 
 
 def _check_quiescence(sim, workers, schedulers, total_jobs):
-    if sim.jobs_done != total_jobs:
+    done = len(sim.records)
+    if done != total_jobs:
         raise SimulationError("run ended with %d of %d jobs incomplete"
-                              % (total_jobs - sim.jobs_done, total_jobs))
+                              % (total_jobs - done, total_jobs))
     for s in schedulers:
         if isinstance(s, PeacockScheduler) and (s.probe_count or s.load_us):
             raise SimulationError(

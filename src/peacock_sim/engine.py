@@ -104,7 +104,6 @@ class Simulation:
         }
         self.records = []
         self.total_jobs = 0
-        self.jobs_done = 0
 
     def add_entity(self, entity):
         self.entities.append(entity)
@@ -148,5 +147,5 @@ class Simulation:
             if processed > cap:
                 raise SimulationError(
                     "event cap %d exceeded at t=%dus (%d/%d jobs done)"
-                    % (cap, self.now, self.jobs_done, self.total_jobs))
+                    % (cap, self.now, len(self.records), self.total_jobs))
         return processed

@@ -1,7 +1,7 @@
 """Per-job records, run reports, and cross-run comparison."""
 
 import bisect
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import reduce
 from operator import add
 
@@ -44,7 +44,9 @@ class Report:
     counters: dict
 
     def to_dict(self):
-        return asdict(self)
+        """The fields by name; nested values are the report's own, not
+        copies."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def percentile(sorted_values, q):

@@ -4,11 +4,12 @@ quota-driven trimming.
 All times and durations are integer microseconds so that the cached load
 total stays exact under any operation sequence.
 
-A probe descends from the tail of the queue towards the head, bypassing
-entries only when doing so shortens head-of-line blocking without pushing
-an already-waiting probe past its deadline.  Probes that cannot be placed
-without violating their own deadline are marked for rotation to the ring
-successor instead.
+A probe descends from the tail of the queue towards the head, passing an
+entry only when doing so shortens head-of-line blocking without pushing an
+already-waiting probe past its deadline.  Where it stops, it is inserted
+if its wait there is tolerable or its deadline has already passed, and
+otherwise marked for rotation to the ring successor.  A probe that passes
+every entry is inserted at the head.
 """
 
 from dataclasses import dataclass
@@ -103,12 +104,16 @@ class WaitingQueue:
         return len(self.entries)
 
     def enqueue(self, probe, now_us, running_remaining_us, state):
-        """Insert ``probe`` by the reordering rules, then trim to quota.
+        """Place ``probe`` by the reordering rule, then trim to quota.
 
         ``running_remaining_us`` is the remaining runtime of the task
         currently running on the owning worker (0 when idle or reserved).
-        Returns ``(outcome, position, evicted)`` where outcome is INSERTED
-        or ROTATED; evicted probes were moved to the rotating buffer.
+        The scan from the tail decides only whether the probe passes the
+        entry ahead of it.  Where it stops, it is inserted if ``now + wait
+        <= deadline`` or its deadline has passed, and rotated otherwise; a
+        probe that passed every entry goes to the head.  Returns
+        ``(outcome, evicted)``: INSERTED or ROTATED, and the probes the
+        trim moved to the rotating buffer.
         """
         if probe.runtime_us <= 0:
             raise InvalidProbeError("probe runtime estimate must be positive")
@@ -116,49 +121,37 @@ class WaitingQueue:
             raise InvalidProbeError("running remainder cannot be negative")
 
         entries = self.entries
+        arrival_us = probe.arrival_us
+        runtime_us = probe.runtime_us
+        deadline_us = probe.deadline_us
         wait_us = running_remaining_us + self.total_runtime_us
-        outcome = None
-        position = None
+        position = 0
         for i in range(len(entries) - 1, -1, -1):
             q = entries[i]
-            if probe.arrival_us >= q.arrival_us:
-                # Later-scheduled probe: may pass q only if it is shorter
-                # and q stays within its deadline.
-                if (probe.runtime_us <= q.runtime_us
-                        and now_us < q.deadline_us
-                        and now_us + (wait_us - q.runtime_us
-                                      + probe.runtime_us) <= q.deadline_us):
-                    wait_us -= q.runtime_us
-                    continue
-                outcome, position = self.place_or_rotate(
-                    probe, i + 1, now_us, wait_us)
-                break
-            else:
-                # Earlier-scheduled probe: stop here unless q is shorter
-                # and waiting would blow the new probe's own deadline.
-                if (q.runtime_us <= probe.runtime_us
-                        and now_us + wait_us <= probe.deadline_us):
-                    outcome, position = self.place_or_rotate(
-                        probe, i + 1, now_us, wait_us)
+            if arrival_us >= q.arrival_us:
+                # Later-scheduled probe: passes q only if it is shorter and
+                # q stays within its deadline.
+                if (runtime_us > q.runtime_us or now_us >= q.deadline_us
+                        or now_us + wait_us - q.runtime_us + runtime_us
+                        > q.deadline_us):
+                    position = i + 1
                     break
-                wait_us -= q.runtime_us
-        if outcome is None:
-            entries.insert(0, probe)
-            self.total_runtime_us += probe.runtime_us
-            outcome, position = INSERTED, 0
-        evicted = self.trim_to_quota(state)
-        return outcome, position, evicted
-
-    def place_or_rotate(self, probe, position, now_us, wait_us):
-        """Insert at ``position`` if the wait is tolerable or the deadline
-        has already expired; otherwise mark the probe for rotation."""
-        if (now_us + wait_us <= probe.deadline_us
-                or probe.deadline_us <= now_us):
-            self.entries.insert(position, probe)
-            self.total_runtime_us += probe.runtime_us
-            return INSERTED, position
-        self.rotating.append(probe)
-        return ROTATED, None
+            elif (q.runtime_us <= runtime_us
+                  and now_us + wait_us <= deadline_us):
+                # Earlier-scheduled probe: stops behind a q no longer than
+                # itself while its own wait is tolerable.
+                position = i + 1
+                break
+            wait_us -= q.runtime_us
+        if (not position or now_us + wait_us <= deadline_us
+                or deadline_us <= now_us):
+            entries.insert(position, probe)
+            self.total_runtime_us += runtime_us
+            outcome = INSERTED
+        else:
+            self.rotating.append(probe)
+            outcome = ROTATED
+        return outcome, self.trim_to_quota(state)
 
     def trim_to_quota(self, state):
         """Evict tail probes while the queue exceeds either quota.

@@ -59,7 +59,8 @@ class JobState:
         for i, stage in enumerate(record.stages):
             for d in stage.deps:
                 self.dependents[d].append(i)
-        self.launched = set()
+        # (stage, task) -> whether that launched task has finished.
+        self.launched = {}
         self.rotations = []
         self.tasks_left = record.task_count
         self.completion_us = arrival_us
@@ -67,14 +68,17 @@ class JobState:
         self.pool_next = [0] * len(record.stages)
 
     def task_finished(self, stage_idx, task_id, finish_us):
-        """Record one task completion; return stage indices that became
-        ready for submission."""
-        if (stage_idx, task_id) not in self.launched:
+        """Record one task completion, exactly once per launched task;
+        return stage indices that became ready for submission."""
+        key = (stage_idx, task_id)
+        finished = self.launched.get(key)
+        if finished is None:
             raise ProtocolError("finish for unlaunched task %r of job %r"
-                                % ((stage_idx, task_id), self.record.job_id))
-        if self.stage_remaining[stage_idx] <= 0:
-            raise ProtocolError("double finish in stage %d of job %r"
-                                % (stage_idx, self.record.job_id))
+                                % (key, self.record.job_id))
+        if finished:
+            raise ProtocolError("double finish of task %r of job %r"
+                                % (key, self.record.job_id))
+        self.launched[key] = True
         self.completion_us = max(self.completion_us, finish_us)
         self.tasks_left -= 1
         self.stage_remaining[stage_idx] -= 1
@@ -146,7 +150,7 @@ class Scheduler:
         if key in job.launched:
             raise ProtocolError("task %r of job %r already launched"
                                 % (key, job_id))
-        job.launched.add(key)
+        job.launched[key] = False
         job.rotations.append(probe.rotations)
         self.sim.counters["tasks_launched"] += 1
         duration = job.record.stages[stage_idx].durations_us[task_id]
@@ -175,7 +179,6 @@ class Scheduler:
                 job_id=job_id, scheduler=self.sid,
                 arrival_us=job.arrival_us, completion_us=job.completion_us,
                 rotations=list(job.rotations)))
-            self.sim.jobs_done += 1
 
     def release(self, job, stage_idx, now):
         """Runs for each finished task of ``stage_idx``, before the stages

@@ -252,6 +252,6 @@ class Ring:
                       w.known_state), now)
             sim.counters["rotation_messages"] += len(dirty)
             dirty.clear()
-        if sim.jobs_done < sim.total_jobs:
+        if len(sim.records) < sim.total_jobs:
             sim.schedule_at(now + sim.config.rotation_interval_us, self.eid,
                             ("round",))

@@ -24,10 +24,10 @@ def probe(job, task=0, lam=0, theta=1, mu=0, **kw):
 
 def test_enqueue_empty_queue_inserts_at_head():
     q = WaitingQueue()
-    outcome, pos, evicted = q.enqueue(probe("a", lam=0, theta=5, mu=10),
-                                      now_us=0, running_remaining_us=0,
-                                      state=ROOMY)
-    assert outcome == INSERTED and pos == 0
+    a = probe("a", lam=0, theta=5, mu=10)
+    outcome, evicted = q.enqueue(a, now_us=0, running_remaining_us=0,
+                                 state=ROOMY)
+    assert outcome == INSERTED and q.entries == [a]
     assert evicted == []
     assert q.total_runtime_us == 5 * US
 
@@ -42,10 +42,9 @@ def test_enqueue_shorter_later_probe_bypasses():
     q.entries.append(existing)
     q.total_runtime_us = 10 * US
     p = probe("p", lam=1, theta=4, mu=30)
-    outcome, pos, evicted = q.enqueue(p, now_us=2 * US,
-                                      running_remaining_us=5 * US,
-                                      state=ROOMY)
-    assert outcome == INSERTED and pos == 0
+    outcome, evicted = q.enqueue(p, now_us=2 * US,
+                                 running_remaining_us=5 * US, state=ROOMY)
+    assert outcome == INSERTED
     assert [e.job_id for e in q.entries] == ["p", "q"]
     assert q.total_runtime_us == 14 * US
     assert evicted == []
@@ -59,32 +58,69 @@ def test_expired_entry_cannot_be_bypassed():
     q.entries.append(probe("q", lam=0, theta=20, mu=50))
     q.total_runtime_us = 20 * US
     p = probe("p", lam=90, theta=1, mu=5)
-    outcome, pos, evicted = q.enqueue(p, now_us=100 * US,
-                                      running_remaining_us=0, state=ROOMY)
-    assert outcome == INSERTED and pos == 1
+    outcome, evicted = q.enqueue(p, now_us=100 * US,
+                                 running_remaining_us=0, state=ROOMY)
+    assert outcome == INSERTED
     assert [e.job_id for e in q.entries] == ["q", "p"]
 
 
-def test_place_or_rotate_zero_wait_inserts():
+def queue_of(*entries):
     q = WaitingQueue()
-    outcome, pos = q.place_or_rotate(probe("p", lam=0, mu=10), 0,
-                                     now_us=0, wait_us=0)
+    q.entries.extend(entries)
+    q.total_runtime_us = sum(e.runtime_us for e in entries)
+    return q
+
+
+def test_enqueue_tolerable_wait_inserts():
+    # A probe that stops behind an entry waits at least that entry's
+    # runtime, so its wait is never zero there; at the bound it is
+    # tolerable.  p is longer than q, so it stops behind q; its wait of 20s
+    # from t=10 ends exactly at its deadline of 30.
+    q_entry = probe("q", lam=0, theta=10, mu=1000)
+    q = queue_of(q_entry)
+    p = probe("p", lam=0, theta=11, mu=30)
+    outcome, evicted = q.enqueue(p, now_us=10 * US,
+                                 running_remaining_us=10 * US, state=ROOMY)
+    assert outcome == INSERTED and evicted == []
+    assert q.entries == [q_entry, p] and q.rotating == []
+
+
+def test_enqueue_expired_deadline_inserts():
+    # p stops behind the shorter q with a wait of 50s, far past its
+    # deadline of 95; that deadline has already passed, so p is inserted.
+    q_entry = probe("q", lam=0, theta=50, mu=1000)
+    q = queue_of(q_entry)
+    p = probe("p", lam=90, theta=60, mu=5)
+    outcome, _ = q.enqueue(p, now_us=100 * US, running_remaining_us=0,
+                           state=ROOMY)
     assert outcome == INSERTED
+    assert q.entries == [q_entry, p] and q.rotating == []
 
 
-def test_place_or_rotate_expired_deadline_inserts():
-    q = WaitingQueue()
-    outcome, _ = q.place_or_rotate(probe("p", lam=90, mu=5), 0,
-                                   now_us=100 * US, wait_us=50 * US)
+def test_enqueue_intolerable_wait_rotates():
+    # p stops behind the shorter q; its wait of 50s from t=10 would end
+    # past its deadline of 20, which has not passed yet: p rotates.
+    q_entry = probe("q", lam=0, theta=1, mu=1000)
+    q = queue_of(q_entry)
+    p = probe("p", lam=0, theta=2, mu=20)
+    outcome, evicted = q.enqueue(p, now_us=10 * US,
+                                 running_remaining_us=49 * US, state=ROOMY)
+    assert outcome == ROTATED and evicted == []
+    assert q.entries == [q_entry] and q.rotating == [p]
+    assert q.total_runtime_us == 1 * US
+
+
+def test_enqueue_past_every_entry_inserts_at_head_even_if_intolerable():
+    # p passes q (2 + (15 - 10 + 4) = 11 <= q's deadline 1000), and its
+    # remaining wait of 5s from t=2 ends past its own deadline of 3; it
+    # still goes to the head rather than rotating.
+    q_entry = probe("q", lam=0, theta=10, mu=1000)
+    q = queue_of(q_entry)
+    p = probe("p", lam=1, theta=4, mu=2)
+    outcome, _ = q.enqueue(p, now_us=2 * US, running_remaining_us=5 * US,
+                           state=ROOMY)
     assert outcome == INSERTED
-
-
-def test_place_or_rotate_intolerable_wait_rotates():
-    q = WaitingQueue()
-    p = probe("p", lam=0, mu=20)
-    outcome, _ = q.place_or_rotate(p, 0, now_us=10 * US, wait_us=50 * US)
-    assert outcome == ROTATED
-    assert q.rotating == [p]
+    assert q.entries == [p, q_entry] and q.rotating == []
 
 
 def test_trim_empty_queue_is_noop():
@@ -162,10 +198,14 @@ def random_state(rng):
 
 
 def run_random_sequence(seed, ops=12):
-    """Drive the real queue and the reference side by side."""
+    """Drive the real queue and the reference side by side.  Returns both
+    queues and, per call, the real and the reference ``(outcome, evicted
+    keys)``; the reference's outcome is ROTATED when its probe went to
+    ``rotating`` other than by that call's trim."""
     rng = random.Random(seed)
     real = WaitingQueue()
     ref_entries, ref_rotating = [], []
+    real_returns, ref_returns = [], []
     for i in range(ops):
         now = rng.randrange(0, 100 * US)
         p_real = random_probe(rng, i)
@@ -173,14 +213,21 @@ def run_random_sequence(seed, ops=12):
                       p_real.runtime_us, p_real.allowance_us)
         delta = rng.randrange(0, 20 * US)
         state = random_state(rng)
-        real.enqueue(p_real, now, delta, state)
-        ref_enqueue(ref_entries, ref_rotating, p_ref, now, delta, state)
-    return real, ref_entries, ref_rotating
+        outcome, evicted = real.enqueue(p_real, now, delta, state)
+        real_returns.append((outcome, [p.key for p in evicted]))
+        ref_evicted = ref_enqueue(ref_entries, ref_rotating, p_ref, now,
+                                  delta, state)
+        rotated = p_ref in ref_rotating and p_ref not in ref_evicted
+        ref_returns.append((ROTATED if rotated else INSERTED,
+                            [p.key for p in ref_evicted]))
+    return real, ref_entries, ref_rotating, real_returns, ref_returns
 
 
 @pytest.mark.parametrize("seed", range(60))
 def test_matches_reference_model(seed):
-    real, ref_entries, ref_rotating = run_random_sequence(seed)
+    real, ref_entries, ref_rotating, real_returns, ref_returns = \
+        run_random_sequence(seed)
+    assert real_returns == ref_returns
     assert [p.key for p in real.entries] == [p.key for p in ref_entries]
     assert [p.key for p in real.rotating] == [p.key for p in ref_rotating]
     assert real.total_runtime_us == sum(p.runtime_us for p in ref_entries)

@@ -272,6 +272,18 @@ def test_finish_of_unlaunched_task_is_protocol_violation():
         sched.handle(("task_finish", ("j", 0), 0, 5 * US), 5 * US)
 
 
+def test_second_finish_of_a_task_is_protocol_violation():
+    # Task 0 of a two-task stage finishes twice while task 1 still runs:
+    # the second finish fails at once, names task 0, and no record is made.
+    sim, sched, recorders, _ = make_scheduler()
+    sched.on_job_arrival(job("j", [1, 5]), now=0)
+    launch_all(sim, sched, recorders)
+    sched.handle(("task_finish", ("j", 0), 0, 1 * US), 1 * US)
+    with pytest.raises(ProtocolError, match=r"double finish of task \(0, 0\)"):
+        sched.handle(("task_finish", ("j", 0), 0, 2 * US), 2 * US)
+    assert sim.records == []
+
+
 def test_job_completion_emits_record_once():
     sim, sched, recorders, _ = make_scheduler()
     sched.on_job_arrival(job("j", [5, 7]), now=2 * US)
@@ -279,7 +291,7 @@ def test_job_completion_emits_record_once():
     for p in probes:
         sched.handle(("task_finish", p.job_id, p.task_id,
                       (10 + p.task_id) * US), (10 + p.task_id) * US)
-    assert sim.jobs_done == 1
+    assert len(sim.records) == 1
     (rec,) = sim.records
     assert rec.job_id == "j"
     assert rec.arrival_us == 2 * US
@@ -310,7 +322,7 @@ def test_dependent_stage_waits_for_parent():
            if p.job_id == ("dag", 1)]
     assert len(new) == 1
     sched.handle(("task_finish", ("dag", 1), 0, 8 * US), 8 * US)
-    assert sim.jobs_done == 1
+    assert len(sim.records) == 1
     assert sim.records[0].completion_us == 8 * US
 
 
@@ -319,7 +331,7 @@ def test_job_state_diamond_readiness():
         Stage([1 * US]), Stage([1 * US], deps=[0]),
         Stage([1 * US], deps=[0]), Stage([1 * US], deps=[1, 2])])
     js = JobState(record, 0)
-    js.launched = {(0, 0), (1, 0), (2, 0), (3, 0)}
+    js.launched = dict.fromkeys([(0, 0), (1, 0), (2, 0), (3, 0)], False)
     assert sorted(js.task_finished(0, 0, 1)) == [1, 2]
     assert js.task_finished(1, 0, 2) == []
     assert js.task_finished(2, 0, 3) == [3]

@@ -264,14 +264,15 @@ def test_rotate_groups_by_job_in_first_seen_order(buffer, sent_order):
 
 
 class JobFinisher:
-    """Stand-in entity that marks the run's only job done when called."""
+    """Stand-in entity that records the run's only job as done when
+    called."""
 
     def __init__(self, sim):
         self.sim = sim
         self.eid = sim.add_entity(self)
 
     def handle(self, payload, now):
-        self.sim.jobs_done += 1
+        self.sim.records.append(payload)
 
 
 @pytest.mark.parametrize("payload", [("rotation", (), state(5, 100)),
