@@ -75,21 +75,35 @@ def run_simulation(config, records):
     """Run one algorithm over a workload; returns a RunResult.
 
     Jobs are assigned to schedulers round-robin.  Raises SimulationError
-    before any event runs if ``event_cap`` is below the fewest events the
-    workload needs: one per job (its arrival), one per stage (its first
-    probe or long-stage placement) and four per task (``task_request``,
-    ``assign``, ``complete`` and ``task_finish``); and after the run if it
-    ends in a non-quiescent state.
+    before any event runs if a record's submit time is not a non-negative
+    ``int``, if its id repeats an earlier one as printed (as ``load_trace``
+    compares them), if it has no stages or an empty stage, or if
+    ``event_cap`` is below the fewest events the workload needs: one per
+    job (its arrival), one per stage (its first probe or long-stage
+    placement) and four per task (``task_request``, ``assign``,
+    ``complete`` and ``task_finish``); and after the run if it ends in a
+    non-quiescent state.
     """
     sim = Simulation(config)
     workers, schedulers = _BUILDERS[config.algo](sim, config)
     sim.total_jobs = len(records)
     needed = len(records)
+    printed_ids = set()
     for i, record in enumerate(records):
-        if record.submit_us is None:
-            raise SimulationError("job %r has no submit time" % (record.job_id,))
+        job_id, submit_us = record.job_id, record.submit_us
+        if type(submit_us) is not int or submit_us < 0:
+            raise SimulationError("job %r: submit time %r is not a "
+                                  "non-negative integer" % (job_id, submit_us))
+        printed = str(job_id)
+        if printed in printed_ids:
+            raise SimulationError("job %r: id repeats an earlier one as "
+                                  "printed" % (job_id,))
+        printed_ids.add(printed)
+        if not record.stages or not all(s.durations_us for s in record.stages):
+            raise SimulationError("job %r has no stages or an empty stage"
+                                  % (job_id,))
         needed += len(record.stages) + 4 * record.task_count
-        sim.schedule_at(record.submit_us, schedulers[i % len(schedulers)].eid,
+        sim.schedule_at(submit_us, schedulers[i % len(schedulers)].eid,
                         ("job", record))
     if config.event_cap < needed:
         raise SimulationError(
@@ -97,17 +111,17 @@ def run_simulation(config, records):
             "(jobs + stages + 4 x tasks)"
             % (config.event_cap, needed, len(records)))
     sim.run()
-    _check_quiescence(sim, workers, schedulers, len(records))
+    _check_quiescence(sim, workers, schedulers)
     sim.records.sort(key=lambda r: str(r.job_id))
     return RunResult(config=config, records=sim.records,
                      counters=dict(sim.counters))
 
 
-def _check_quiescence(sim, workers, schedulers, total_jobs):
-    done = len(sim.records)
-    if done != total_jobs:
+def _check_quiescence(sim, workers, schedulers):
+    total = sim.total_jobs
+    if len(sim.records) != total:
         raise SimulationError("run ended with %d of %d jobs incomplete"
-                              % (total_jobs - done, total_jobs))
+                              % (total - len(sim.records), total))
     for s in schedulers:
         if isinstance(s, PeacockScheduler) and (s.probe_count or s.load_us):
             raise SimulationError(

@@ -13,6 +13,9 @@ CDF_POINTS = 100
 
 @dataclass
 class JobRecord:
+    """One job's outcome.  Its scheduler fills it in while the job runs;
+    it is final once it is in ``sim.records``."""
+
     job_id: object
     scheduler: int
     arrival_us: int
@@ -24,11 +27,12 @@ class JobRecord:
         return self.completion_us - self.arrival_us
 
     def to_dict(self):
+        """The fields and ``jct_us`` by name; nested values are the
+        record's own, not copies."""
         return {"job_id": self.job_id, "scheduler": self.scheduler,
                 "arrival_us": self.arrival_us,
                 "completion_us": self.completion_us,
-                "jct_us": self.jct_us,
-                "rotations": list(self.rotations)}
+                "jct_us": self.jct_us, "rotations": self.rotations}
 
 
 @dataclass

@@ -45,13 +45,16 @@ def mean_us(durations):
 
 
 class JobState:
-    __slots__ = ("record", "arrival_us", "thetas", "stage_remaining",
-                 "remaining_deps", "dependents", "launched",
-                 "rotations", "tasks_left", "completion_us", "pool_next")
+    """A running job.  ``result`` is the job's ``JobRecord``: filled in as
+    its tasks launch and finish, and final once it is in ``sim.records``."""
 
-    def __init__(self, record, arrival_us):
+    __slots__ = ("record", "result", "thetas", "stage_remaining",
+                 "remaining_deps", "dependents", "launched", "tasks_left",
+                 "pool_next")
+
+    def __init__(self, record, result):
         self.record = record
-        self.arrival_us = arrival_us
+        self.result = result
         self.thetas = [mean_us(s.durations_us) or 1 for s in record.stages]
         self.stage_remaining = [len(s.durations_us) for s in record.stages]
         self.remaining_deps = [len(s.deps) for s in record.stages]
@@ -61,9 +64,7 @@ class JobState:
                 self.dependents[d].append(i)
         # (stage, task) -> whether that launched task has finished.
         self.launched = {}
-        self.rotations = []
         self.tasks_left = record.task_count
-        self.completion_us = arrival_us
         # Late-binding task pool cursor per stage (baselines only).
         self.pool_next = [0] * len(record.stages)
 
@@ -79,7 +80,7 @@ class JobState:
             raise ProtocolError("double finish of task %r of job %r"
                                 % (key, self.record.job_id))
         self.launched[key] = True
-        self.completion_us = max(self.completion_us, finish_us)
+        self.result.completion_us = max(self.result.completion_us, finish_us)
         self.tasks_left -= 1
         self.stage_remaining[stage_idx] -= 1
         ready = []
@@ -128,9 +129,7 @@ class Scheduler:
                                 % (self.sid, kind))
 
     def on_job_arrival(self, record, now):
-        if not record.stages or any(not s.durations_us for s in record.stages):
-            raise SimulationError("rejecting empty job %r" % (record.job_id,))
-        job = JobState(record, now)
+        job = JobState(record, JobRecord(record.job_id, self.sid, now, now))
         self.jobs[record.job_id] = job
         for i, stage in enumerate(record.stages):
             if not stage.deps:
@@ -151,7 +150,7 @@ class Scheduler:
             raise ProtocolError("task %r of job %r already launched"
                                 % (key, job_id))
         job.launched[key] = False
-        job.rotations.append(probe.rotations)
+        job.result.rotations.append(probe.rotations)
         self.sim.counters["tasks_launched"] += 1
         duration = job.record.stages[stage_idx].durations_us[task_id]
         self.sim.send(worker_eid,
@@ -175,10 +174,7 @@ class Scheduler:
         for ready in job.task_finished(stage_idx, task_id, finish_us):
             self.submit_stage(job, ready, now)
         if job.done:
-            self.sim.records.append(JobRecord(
-                job_id=job_id, scheduler=self.sid,
-                arrival_us=job.arrival_us, completion_us=job.completion_us,
-                rotations=list(job.rotations)))
+            self.sim.records.append(job.result)
 
     def release(self, job, stage_idx, now):
         """Runs for each finished task of ``stage_idx``, before the stages

@@ -2,9 +2,9 @@
 one PASS/FAIL line.  Micro-oracles are exact; cluster-scale behaviour is
 checked as directional trends with stated margins.
 
-Run with ``pytest tests/test_acceptance.py -v -s``.  The full suite takes
-a few minutes; the heavy criteria (6-8) each run several hundred-worker
-simulations.
+Run with ``pytest tests/test_acceptance.py -v -s``.  The heavy criteria
+(6-8) each run several hundred-worker simulations.  On Python 3.11 on a
+shared 2-core host this file took 33 s, 29 s of it in criterion 8.
 """
 
 import json

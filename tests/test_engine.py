@@ -253,6 +253,37 @@ def test_event_cap_below_the_work_fails_before_any_event(algo, monkeypatch):
     assert handled == []
 
 
+# Each case's last record is the bad one; a good job comes before it.
+BAD_RECORDS = {
+    "negative-submit": [TraceRecord("late", -5, [Stage([US])])],
+    "float-submit": [TraceRecord("half", 0.5, [Stage([US])])],
+    "bool-submit": [TraceRecord("flag", True, [Stage([US])])],
+    "no-submit": [TraceRecord("unset", None, [Stage([US])])],
+    "equal-ids": [TraceRecord("twin", 0, [Stage([US])]),
+                  TraceRecord("twin", US, [Stage([US])])],
+    "same-printed-ids": [TraceRecord(17, 0, [Stage([US])]),
+                         TraceRecord("17", 0, [Stage([US])])],
+    "no-stages": [TraceRecord("bare", 0, [])],
+    "empty-stage": [TraceRecord("hollow", 0, [Stage([US]),
+                                              Stage([], deps=[0])])],
+}
+
+
+@pytest.mark.parametrize("case", BAD_RECORDS)
+@pytest.mark.parametrize("algo", ALGOS)
+def test_bad_record_fails_before_any_event(algo, case, monkeypatch):
+    started = []
+    run = Simulation.run
+    monkeypatch.setattr(Simulation, "run",
+                        lambda sim: started.append(sim) or run(sim))
+    records = [TraceRecord("ok", 0, [Stage([US])])] + BAD_RECORDS[case]
+    with pytest.raises(SimulationError) as err:
+        driver.run_simulation(SimConfig(workers=4, seed=1, algo=algo),
+                              records)
+    assert repr(records[-1].job_id) in str(err.value)
+    assert started == []
+
+
 @pytest.mark.parametrize("bad", [
     dict(workers=0),
     dict(schedulers=0),
@@ -340,10 +371,3 @@ def test_repeat_runs_are_identical(algo):
 
 def test_different_seeds_differ():
     assert serialized_run("peacock", 5) != serialized_run("peacock", 6)
-
-
-def test_missing_submit_time_is_an_error():
-    cfg = SimConfig(workers=1)
-    bad = TraceRecord(job_id="j", submit_us=None, stages=[Stage([US])])
-    with pytest.raises(SimulationError):
-        driver.run_simulation(cfg, [bad])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from peacock_sim.engine import (ProtocolError, SimConfig, Simulation,
                                 SimulationError, derived_rng)
+from peacock_sim.metrics import JobRecord
 from peacock_sim.probes import Probe, SharedState
 from peacock_sim.scheduler import JobState, PeacockScheduler, mean_us, \
     pick_workers, probe_quota
@@ -237,12 +238,6 @@ def test_worker_eid_naming_no_entity_is_rejected(bad):
         PeacockScheduler(sim, 0, eids, derived_rng(3, "sched", 0))
 
 
-def test_empty_job_rejected():
-    sim, sched, _, _ = make_scheduler()
-    with pytest.raises(SimulationError):
-        sched.on_job_arrival(TraceRecord(job_id="j", submit_us=0, stages=[]), 0)
-
-
 # -- dispatch ----------------------------------------------------------------
 
 def launch_all(sim, sched, recorders):
@@ -293,6 +288,8 @@ def test_job_completion_emits_record_once():
                       (10 + p.task_id) * US), (10 + p.task_id) * US)
     assert len(sim.records) == 1
     (rec,) = sim.records
+    # The record the job filled while it ran, not a copy made at the end.
+    assert rec is sched.jobs["j"].result
     assert rec.job_id == "j"
     assert rec.arrival_us == 2 * US
     assert rec.completion_us == 11 * US
@@ -330,17 +327,18 @@ def test_job_state_diamond_readiness():
     record = TraceRecord(job_id="d", submit_us=0, stages=[
         Stage([1 * US]), Stage([1 * US], deps=[0]),
         Stage([1 * US], deps=[0]), Stage([1 * US], deps=[1, 2])])
-    js = JobState(record, 0)
+    js = JobState(record, JobRecord("d", 0, 0, 0))
     js.launched = dict.fromkeys([(0, 0), (1, 0), (2, 0), (3, 0)], False)
     assert sorted(js.task_finished(0, 0, 1)) == [1, 2]
     assert js.task_finished(1, 0, 2) == []
     assert js.task_finished(2, 0, 3) == [3]
     assert js.task_finished(3, 0, 4) == []
     assert js.done
+    assert js.result.completion_us == 4
 
 
 def test_theta_is_rounded_stage_mean():
-    js = JobState(job("j", [10, 20, 31]), 0)
+    js = JobState(job("j", [10, 20, 31]), JobRecord("j", 0, 0, 0))
     assert js.thetas == [int(round((10 + 20 + 31) * US / 3))]
 
 
@@ -357,5 +355,6 @@ def test_stage_mean_matches_rounded_statistics_mean(durations):
 ])
 def test_stage_mean_rounds_ties_to_even(durations, expected):
     assert mean_us(durations) == expected
-    assert JobState(TraceRecord("j", 0, [Stage(durations)]), 0).thetas \
-        == [expected]
+    js = JobState(TraceRecord("j", 0, [Stage(durations)]),
+                  JobRecord("j", 0, 0, 0))
+    assert js.thetas == [expected]
