@@ -14,7 +14,9 @@ Short stages are sampled as in Sparrow, a short probe landing on a worker
 with long work is re-sampled once into the short-only partition (the
 first SHORT_FRACTION of the workers), and worker queues reorder
 shortest-estimate-first, except that a probe queued for SRPT_BOUND_US can
-no longer be bypassed.
+no longer be bypassed.  A worker draws its re-sample targets from a
+stream of its own, split from the run's seed by ``derived_rng`` and made
+the first time that worker re-samples.
 
 The baselines are fixed comparison points, so these parameters are module
 constants rather than configuration.
@@ -23,7 +25,7 @@ constants rather than configuration.
 import heapq
 from collections import deque
 
-from .engine import ProtocolError, US_PER_S
+from .engine import ProtocolError, US_PER_S, derived_rng
 from .probes import Probe
 from .scheduler import Scheduler, pick_workers
 from .worker import SlotWorker
@@ -55,13 +57,19 @@ class EagleWorker(SlotWorker):
     """Shortest-estimate-first queue with a starvation bound, plus the
     re-sample-once rule for short probes meeting long work.  A probe is
     long when its runtime estimate is above ``LONG_CUTOFF_US``, the test
-    that sent its stage to the central placer."""
+    that sent its stage to the central placer.
 
-    def __init__(self, sim, index, partition, short_worker_eids, rng):
+    The worker draws re-sample targets from its own stream,
+    ``derived_rng(seed, "eagle-worker", index)``, made the first time it
+    re-samples; most workers never do.  A stream hashes only the seed and
+    its tags, so making it late gives the same draws as making it at
+    build time."""
+
+    def __init__(self, sim, index, partition, short_worker_eids):
         super().__init__(sim, index)
         self.partition = partition          # "short" or "general"
         self.short_worker_eids = short_worker_eids
-        self.rng = rng
+        self.rng = None                     # made on the first re-sample
         self.queue = []
         self.long_count = 0                 # long probes queued or running
 
@@ -73,6 +81,9 @@ class EagleWorker(SlotWorker):
             self.long_count += 1
         elif self.long_count > 0 and not probe.resampled:
             probe.resampled = True
+            if self.rng is None:
+                self.rng = derived_rng(self.sim.config.seed, "eagle-worker",
+                                       self.index)
             target = self.rng.choice(self.short_worker_eids)
             self.sim.send(target, ("probe", probe), now)
             return

@@ -8,6 +8,7 @@ from .baselines import (SHORT_FRACTION, EagleCentral, EagleScheduler,
 from .engine import SimConfig, Simulation, SimulationError, derived_rng
 from .scheduler import PeacockScheduler
 from .worker import PeacockWorker, Ring
+from .workload import acyclic
 
 
 @dataclass
@@ -50,8 +51,7 @@ def _build_eagle(sim, config):
     # leaves general ones.
     short_count = max(1, round(SHORT_FRACTION * W)) if W > 1 else 0
     workers = [EagleWorker(sim, i, "short" if i < short_count else "general",
-                           short_worker_eids=None,
-                           rng=derived_rng(config.seed, "eagle-worker", i))
+                           short_worker_eids=None)
                for i in range(W)]
     worker_eids = [w.eid for w in workers]
     short_eids = worker_eids[:short_count] or worker_eids
@@ -75,12 +75,14 @@ def run_simulation(config, records):
     """Run one algorithm over a workload; returns a RunResult.
 
     Jobs are assigned to schedulers round-robin.  Raises SimulationError
-    before any event runs if a record's submit time is not a non-negative
-    ``int``, if its id repeats an earlier one as printed (as ``load_trace``
-    compares them), if it has no stages or an empty stage, or if
-    ``event_cap`` is below the fewest events the workload needs: one per
-    job (its arrival), one per stage (its first probe or long-stage
-    placement) and four per task (``task_request``, ``assign``,
+    before any event runs if a record's id is neither a ``str`` nor an
+    ``int`` or repeats an earlier one as printed (as ``load_trace``
+    compares them), if its submit time is not a non-negative ``int``, if
+    it has no stages or an empty stage, if a duration is not a positive
+    ``int``, if a dep is not an ``int`` stage index or the deps form a
+    cycle, or if ``event_cap`` is below the fewest events the workload
+    needs: one per job (its arrival), one per stage (its first probe or
+    long-stage placement) and four per task (``task_request``, ``assign``,
     ``complete`` and ``task_finish``); and after the run if it ends in a
     non-quiescent state.
     """
@@ -91,6 +93,10 @@ def run_simulation(config, records):
     printed_ids = set()
     for i, record in enumerate(records):
         job_id, submit_us = record.job_id, record.submit_us
+        stages = record.stages
+        if type(job_id) is not str and type(job_id) is not int:
+            raise SimulationError("job %r: id is not a string or an integer"
+                                  % (job_id,))
         if type(submit_us) is not int or submit_us < 0:
             raise SimulationError("job %r: submit time %r is not a "
                                   "non-negative integer" % (job_id, submit_us))
@@ -99,10 +105,28 @@ def run_simulation(config, records):
             raise SimulationError("job %r: id repeats an earlier one as "
                                   "printed" % (job_id,))
         printed_ids.add(printed)
-        if not record.stages or not all(s.durations_us for s in record.stages):
-            raise SimulationError("job %r has no stages or an empty stage"
+        if not stages:
+            raise SimulationError("job %r has no stages" % (job_id,))
+        n = len(stages)
+        forward = False         # a dep at or after its own stage's index
+        for stage_idx, stage in enumerate(stages):
+            durations = stage.durations_us
+            if not durations:
+                raise SimulationError("job %r has an empty stage" % (job_id,))
+            needed += 1 + 4 * len(durations)
+            for d in durations:
+                if type(d) is not int or d <= 0:
+                    raise SimulationError("job %r: duration %r is not a "
+                                          "positive integer" % (job_id, d))
+            for d in stage.deps:
+                if type(d) is not int or not 0 <= d < n:
+                    raise SimulationError("job %r: dep %r is not a stage "
+                                          "index" % (job_id, d))
+                if d >= stage_idx:
+                    forward = True
+        if forward and not acyclic(stages, [False] * n, list(range(n))):
+            raise SimulationError("job %r: stage deps form a cycle"
                                   % (job_id,))
-        needed += len(record.stages) + 4 * record.task_count
         sim.schedule_at(submit_us, schedulers[i % len(schedulers)].eid,
                         ("job", record))
     if config.event_cap < needed:

@@ -55,7 +55,7 @@ class JobState:
     def __init__(self, record, result):
         self.record = record
         self.result = result
-        self.thetas = [mean_us(s.durations_us) or 1 for s in record.stages]
+        self.thetas = [mean_us(s.durations_us) for s in record.stages]
         self.stage_remaining = [len(s.durations_us) for s in record.stages]
         self.remaining_deps = [len(s.deps) for s in record.stages]
         self.dependents = [[] for _ in record.stages]

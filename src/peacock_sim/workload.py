@@ -129,16 +129,25 @@ def _parse_stages(stages):
         else:
             unmarked.append(i)
         built.append(Stage(durations, deps))
-    while valid and unmarked:
+    return built, valid and acyclic(built, marked, unmarked)
+
+
+def acyclic(stages, marked, unmarked):
+    """Whether in-range deps form no cycle, by the sweeps of
+    ``_parse_stages`` over the stage indices ``unmarked``, in order:
+    ``marked[i]`` is set once all of stage i's deps are marked.  Pass
+    ``[False] * len(stages)`` and every index to sweep from scratch."""
+    while unmarked:
         left = []
         for i in unmarked:
-            if all(marked[d] for d in built[i].deps):
+            if all(marked[d] for d in stages[i].deps):
                 marked[i] = True
             else:
                 left.append(i)
-        valid = len(left) < len(unmarked)
+        if len(left) == len(unmarked):
+            return False
         unmarked = left
-    return built, valid
+    return True
 
 
 def load_trace(path):

@@ -157,8 +157,7 @@ def make_eagle_worker(partition="general"):
     sim = Simulation(SimConfig(workers=2, algo="eagle", net_delay_us=0))
     sched = Recorder(sim)
     short_stub = Recorder(sim)
-    w = EagleWorker(sim, 0, partition, short_worker_eids=[short_stub.eid],
-                    rng=derived_rng(0, "w"))
+    w = EagleWorker(sim, 0, partition, short_worker_eids=[short_stub.eid])
     w.central_eid = sched.eid
     return sim, w, sched, short_stub
 
@@ -285,6 +284,41 @@ def test_eagle_short_partition_size(workers, short):
     built, _ = driver._build_eagle(sim, sim.config)
     assert [w.partition for w in built] == \
         ["short"] * short + ["general"] * (workers - short)
+
+
+def test_eagle_makes_a_worker_stream_only_when_it_resamples(monkeypatch):
+    # Long work on three general workers; short probes landing there are
+    # re-sampled, and only those workers may make a stream.
+    built = []
+    build = driver._BUILDERS["eagle"]
+    monkeypatch.setitem(driver._BUILDERS, "eagle",
+                        lambda sim, cfg: built.append(build(sim, cfg))
+                        or built[-1])
+    resamples = {}
+    arrive = EagleWorker.on_probe_arrival
+
+    def counting_arrival(self, probe, now):
+        before = probe.resampled
+        arrive(self, probe, now)
+        if probe.resampled and not before:
+            resamples[self.index] = resamples.get(self.index, 0) + 1
+
+    monkeypatch.setattr(EagleWorker, "on_probe_arrival", counting_arrival)
+    cfg = SimConfig(workers=20, algo="eagle", seed=3)
+    records = [job("long", [100, 100, 100])] + [
+        job("s%d" % i, [1] * 4, submit_us=US + i * US // 10)
+        for i in range(30)]
+    driver.run_simulation(cfg, records)
+    (workers, _), = built
+    with_rng = {w.index for w in workers if w.rng is not None}
+    assert 0 < len(with_rng) <= 3
+    assert with_rng == set(resamples)
+    # Each stream is the worker's derived one, one draw per re-sample.
+    for index, count in resamples.items():
+        fresh = derived_rng(cfg.seed, "eagle-worker", index)
+        for _ in range(count):
+            fresh.choice(workers[0].short_worker_eids)
+        assert workers[index].rng.getstate() == fresh.getstate()
 
 
 @pytest.mark.parametrize("algo", ["sparrow", "eagle"])

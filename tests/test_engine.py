@@ -266,6 +266,25 @@ BAD_RECORDS = {
     "no-stages": [TraceRecord("bare", 0, [])],
     "empty-stage": [TraceRecord("hollow", 0, [Stage([US]),
                                               Stage([], deps=[0])])],
+    "zero-duration": [TraceRecord("instant", 0, [Stage([US, 0])])],
+    "negative-duration": [TraceRecord("rewind", 0, [Stage([-US])])],
+    "bool-duration": [TraceRecord("truthy", 0, [Stage([True])])],
+    "float-duration": [TraceRecord("fraction", 0, [Stage([1.5 * US])])],
+    "str-dep": [TraceRecord("named", 0, [Stage([US]),
+                                         Stage([US], deps=["0"])])],
+    "bool-dep": [TraceRecord("flagged", 0, [Stage([US]),
+                                            Stage([US], deps=[False])])],
+    "dep-past-end": [TraceRecord("beyond", 0, [Stage([US], deps=[1])])],
+    "negative-dep": [TraceRecord("before", 0, [Stage([US]),
+                                               Stage([US], deps=[-1])])],
+    "self-dep": [TraceRecord("ouroboros", 0, [Stage([US], deps=[0])])],
+    "cyclic-deps": [TraceRecord("loop", 0, [Stage([US]),
+                                            Stage([US], deps=[0, 2]),
+                                            Stage([US], deps=[1])])],
+    "none-id": [TraceRecord(None, 0, [Stage([US])])],
+    "float-id": [TraceRecord(1.5, 0, [Stage([US])])],
+    "tuple-id": [TraceRecord((1, 2), 0, [Stage([US])])],
+    "bool-id": [TraceRecord(True, 0, [Stage([US])])],
 }
 
 
@@ -282,6 +301,18 @@ def test_bad_record_fails_before_any_event(algo, case, monkeypatch):
                               records)
     assert repr(records[-1].job_id) in str(err.value)
     assert started == []
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_acyclic_deps_that_point_forward_run(algo):
+    # Stage 0 waits on stage 2, which waits on stage 1.
+    record = TraceRecord("ahead", 0, [Stage([US], deps=[2]), Stage([US]),
+                                      Stage([US, US], deps=[1])])
+    result = driver.run_simulation(SimConfig(workers=4, seed=1, algo=algo),
+                                   [record])
+    (rec,) = result.records
+    assert rec.completion_us >= 3 * US
+    assert result.counters["tasks_finished"] == 4
 
 
 @pytest.mark.parametrize("bad", [
@@ -328,6 +359,19 @@ def test_derived_rng_is_stable_and_stream_separated():
     c = derived_rng(7, "worker", 4).random()
     assert a == b
     assert a != c
+
+
+def test_derived_rng_does_not_depend_on_when_it_is_made():
+    # Eagle makes a worker's stream on its first re-sample, so a stream
+    # must draw the same whether it is made first or after other streams
+    # have been made and drawn from.
+    def draws(rng):
+        return [rng.random(), rng.randrange(1000)] + rng.sample(range(100), 5)
+
+    first = draws(derived_rng(7, "eagle-worker", 3))
+    for i in range(8):
+        draws(derived_rng(7, "eagle-worker", i))
+    assert draws(derived_rng(7, "eagle-worker", 3)) == first
 
 
 # -- tiny end-to-end runs ----------------------------------------------------

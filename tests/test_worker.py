@@ -6,7 +6,6 @@ import pytest
 from peacock_sim.engine import ProtocolError, SimConfig, Simulation
 from peacock_sim.probes import Probe, SharedState, WaitingQueue
 from peacock_sim.baselines import EagleWorker, SparrowWorker
-from peacock_sim.engine import derived_rng
 from peacock_sim.worker import PeacockWorker, Ring
 
 US = 1_000_000
@@ -382,8 +381,7 @@ def make_slot_worker(cls):
     sim = Simulation(SimConfig(workers=2, net_delay_us=0))
     sched = Recorder(sim)
     if cls is EagleWorker:
-        worker = cls(sim, 0, "general", short_worker_eids=[sched.eid],
-                     rng=derived_rng(0, "w"))
+        worker = cls(sim, 0, "general", short_worker_eids=[sched.eid])
     else:
         worker = cls(sim, 0)
     if cls is PeacockWorker:
