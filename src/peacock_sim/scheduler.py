@@ -49,8 +49,7 @@ class JobState:
     its tasks launch and finish, and final once it is in ``sim.records``."""
 
     __slots__ = ("record", "result", "thetas", "stage_remaining",
-                 "remaining_deps", "dependents", "launched", "tasks_left",
-                 "pool_next")
+                 "remaining_deps", "dependents", "launched", "pool_next")
 
     def __init__(self, record, result):
         self.record = record
@@ -64,7 +63,6 @@ class JobState:
                 self.dependents[d].append(i)
         # (stage, task) -> whether that launched task has finished.
         self.launched = {}
-        self.tasks_left = record.task_count
         # Late-binding task pool cursor per stage (baselines only).
         self.pool_next = [0] * len(record.stages)
 
@@ -81,7 +79,6 @@ class JobState:
                                 % (key, self.record.job_id))
         self.launched[key] = True
         self.result.completion_us = max(self.result.completion_us, finish_us)
-        self.tasks_left -= 1
         self.stage_remaining[stage_idx] -= 1
         ready = []
         if self.stage_remaining[stage_idx] == 0:
@@ -93,7 +90,7 @@ class JobState:
 
     @property
     def done(self):
-        return self.tasks_left == 0
+        return not any(self.stage_remaining)
 
 
 class Scheduler:

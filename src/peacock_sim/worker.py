@@ -25,10 +25,10 @@ successor, in index order.  The message carries the rotated probes (the
 empty tuple for news of state alone) and the sender's shared state.  The
 successor adopts the state only if its version is newer, re-trimming its
 queue only when the queue holds probes, and then takes the probes, if
-any, through the same loop as a fresh ``probe`` message: a duplicate is a
-protocol error, a probe that finds the slot idle and the queue empty
-reserves the slot, and the others are enqueued.  The sent probes are
-never the sender's live rotating buffer.
+any, through the same loop as a fresh ``probe`` message: a duplicate is
+refused by its scheduler when it requests its task, a probe that finds the
+slot idle and the queue empty reserves the slot, and the others are
+enqueued.  The sent probes are never the sender's live rotating buffer.
 """
 
 from .engine import ProtocolError
@@ -120,7 +120,6 @@ class PeacockWorker(SlotWorker):
         super().__init__(sim, index)
         self.queue = WaitingQueue()
         self.known_state = EMPTY_STATE
-        self.held = set()
         # Indices of workers the next ring round must visit; a Ring
         # replaces this with the set it shares among its workers.
         self.dirty = set()
@@ -155,7 +154,6 @@ class PeacockWorker(SlotWorker):
         """Take arriving probes in order.  A probe that finds the slot idle
         and the queue empty reserves the slot; every other one is enqueued
         under the known shared state."""
-        held = self.held
         queue = self.queue
         state = self.known_state
         idle = self.slot is None
@@ -163,19 +161,13 @@ class PeacockWorker(SlotWorker):
         finish_us = self.finish_us
         delta = 0 if finish_us is None else finish_us - now
         for probe in probes:
-            key = probe.key
-            if key in held:
-                raise ProtocolError(
-                    "worker %d: duplicate probe arrival for %r"
-                    % (self.index, key))
-            held.add(key)
             if idle and not queue.entries:
                 self._reserve(probe, now)
                 idle = False
             else:
                 queue.enqueue(probe, now, delta, state)
-        # Evicted and rejected probes wait in the rotating buffer, still
-        # held, until the next round carries them off.
+        # Evicted and rejected probes wait in the rotating buffer until the
+        # next round carries them off.
         if queue.rotating:
             self.dirty.add(self.index)
 
@@ -192,9 +184,6 @@ class PeacockWorker(SlotWorker):
     def _pop_queue(self):
         return self.queue.pop_head()
 
-    def _finished(self, probe, now):
-        self.held.discard(probe.key)
-
     # -- rotation rounds ----------------------------------------------------
 
     def rotate(self):
@@ -203,12 +192,10 @@ class PeacockWorker(SlotWorker):
         queue = self.queue
         probes = queue.rotating
         queue.rotating = []
-        held = self.held
         first_job = probes[0].job_id
         mixed = False
         for p in probes:
             p.rotations += 1
-            held.discard(p.key)
             if p.job_id != first_job:
                 mixed = True
         if mixed:

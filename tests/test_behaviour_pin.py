@@ -1,6 +1,7 @@
 """Behaviour pins: each algorithm's report digest on small fixed configs,
-the entity classes and payload kinds of each algorithm's run, and the
-fields of SimConfig.
+the entity classes and payload kinds of each algorithm's run, the state
+attributes of its workers, schedulers and running jobs, and the fields of
+SimConfig.
 
 A refactor that is meant to keep behaviour must keep these digests; one
 that changes behaviour on purpose updates them and says why in
@@ -26,6 +27,7 @@ from peacock_sim import driver
 from peacock_sim.baselines import LONG_CUTOFF_US, PROBE_RATIO
 from peacock_sim.engine import SimConfig, Simulation
 from peacock_sim.metrics import summarize
+from peacock_sim.scheduler import JobState
 from peacock_sim.workload import (Stage, SyntheticSpec, TraceRecord, generate,
                                   load_trace, save_trace)
 
@@ -182,6 +184,37 @@ def test_config_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(SimConfig)] == [
         "workers", "schedulers", "rotation_interval_us", "net_delay_us",
         "seed", "algo", "event_cap"]
+
+
+SLOT_STATE = ["eid", "finish_us", "index", "queue", "sim", "slot"]
+SCHEDULER_STATE = ["eid", "jobs", "rng", "sid", "sim", "worker_eids"]
+ENTITY_STATE = {
+    "peacock": (sorted(SLOT_STATE + ["dirty", "known_state"]),
+                sorted(SCHEDULER_STATE + ["_state", "load_us", "peer_eids",
+                                          "probe_count"])),
+    "sparrow": (SLOT_STATE, SCHEDULER_STATE),
+    "eagle": (sorted(SLOT_STATE + ["central_eid", "long_count", "partition",
+                                   "rng", "short_worker_eids"]),
+              sorted(SCHEDULER_STATE + ["central_eid"])),
+}
+
+
+@pytest.mark.parametrize("algo", sorted(ENTITY_STATE))
+def test_entity_state_attributes_are_pinned(algo):
+    # Each fact has one owner; a second copy of one has to be added here
+    # too.  Built through the driver, since _build_eagle sets a worker's
+    # central_eid after EagleWorker.__init__.
+    config = SimConfig(workers=4, algo=algo)
+    sim = Simulation(config)
+    workers, schedulers = driver._BUILDERS[algo](sim, config)
+    assert (sorted(vars(workers[0])), sorted(vars(schedulers[0]))) \
+        == ENTITY_STATE[algo]
+
+
+def test_job_state_slots_are_pinned():
+    assert JobState.__slots__ == (
+        "record", "result", "thetas", "stage_remaining", "remaining_deps",
+        "dependents", "launched", "pool_next")
 
 
 @pytest.mark.parametrize("algo", sorted(ENTITY_KINDS))

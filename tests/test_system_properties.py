@@ -1,12 +1,13 @@
 """Whole-system property fuzz: all three algorithms on tiny random systems
 with small DAG traces.
 
-Each run must launch and finish every task exactly once, keep workers
-busy for exactly the offered work, finish no job faster than its critical
-path, raise no SimulationError or ProtocolError (the driver also checks
-quiescence before it returns), and serialize to the same bytes when run
-again.  The network delay is drawn up to the rotation interval and is
-often 0 or equal to it.
+Each run must launch and finish every task exactly once, launch as many
+tasks of each job as it has (its record holds one rotation count per
+launch), keep workers busy for exactly the offered work, finish no job
+faster than its critical path, raise no SimulationError or ProtocolError
+(the driver also checks quiescence before it returns), and serialize to
+the same bytes when run again.  The network delay is drawn up to the
+rotation interval and is often 0 or equal to it.
 """
 
 import json
@@ -62,6 +63,7 @@ def test_tiny_systems_conserve_work_and_respect_critical_paths(system):
     tasks = sum(j.task_count for j in jobs)
     work = sum(j.total_work_us for j in jobs)
     paths = {j.job_id: j.critical_path_us() for j in jobs}
+    task_counts = {j.job_id: j.task_count for j in jobs}
     for algo in ("peacock", "sparrow", "eagle"):
         result = run_simulation(SimConfig(algo=algo, **config), jobs)
         counters = result.counters
@@ -71,5 +73,6 @@ def test_tiny_systems_conserve_work_and_respect_critical_paths(system):
         assert sorted(r.job_id for r in result.records) == sorted(paths)
         for r in result.records:
             assert r.jct_us >= paths[r.job_id], (algo, r)
+            assert len(r.rotations) == task_counts[r.job_id], (algo, r)
         again = run_simulation(SimConfig(algo=algo, **config), jobs)
         assert serialized(again) == serialized(result), algo

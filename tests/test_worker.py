@@ -3,10 +3,12 @@ shared-state adoption, and the task lifecycle."""
 
 import pytest
 
+from peacock_sim import driver
 from peacock_sim.engine import ProtocolError, SimConfig, Simulation
 from peacock_sim.probes import Probe, SharedState, WaitingQueue
 from peacock_sim.baselines import EagleWorker, SparrowWorker
 from peacock_sim.worker import PeacockWorker, Ring
+from peacock_sim.workload import Stage, TraceRecord
 
 US = 1_000_000
 
@@ -97,13 +99,27 @@ def test_tight_quota_sends_probe_to_rotating_buffer():
     assert worker.queue.rotating == [p]
 
 
-def test_duplicate_probe_arrival_is_protocol_violation():
-    sim, worker, sched, _ = make_worker()
-    worker.handle(("probe", probe("j", scheduler=sched.eid),
-                   state(5, 100)), 0)
-    with pytest.raises(ProtocolError):
-        worker.handle(("probe", probe("j", scheduler=sched.eid),
-                       state(5, 100, version=(1, 0))), 1)
+@pytest.mark.parametrize("gap_us", [0, 3 * US],
+                         ids=["same-instant", "after-first-finished"])
+def test_duplicate_probe_is_refused_by_its_scheduler(gap_us):
+    sim = Simulation(SimConfig(workers=2, schedulers=1))
+    _, (scheduler,) = driver._build_peacock(sim, sim.config)
+    sim.total_jobs = 1
+    probes = []
+    send = sim.send
+
+    def recording_send(target, payload, now):
+        if payload[0] == "probe":
+            probes.append((target, payload))
+        send(target, payload, now)
+    sim.send = recording_send
+    scheduler.handle(("job", TraceRecord("j", 0, [Stage([2 * US])])), 0)
+    # A second copy of the job's one probe message reaches the same worker,
+    # at the first copy's instant or after its 2 s task has finished.
+    ((target, payload),) = probes
+    sim.schedule_at(sim.net_delay_us + gap_us, target, payload)
+    with pytest.raises(ProtocolError, match="already launched"):
+        sim.run()
 
 
 def test_rotation_round_without_work_or_news_sends_nothing():
@@ -125,7 +141,7 @@ def test_rotate_sends_each_jobs_probes_together_as_the_same_objects():
         worker.handle(("probe", p, s), 10 * US)
     assert worker.queue.rotating == [a0, b0, a1]
     ring.handle(("round",), 11 * US)
-    assert worker.queue.rotating == [] and worker.held == set()
+    assert worker.queue.rotating == []
     drain(sim)
     # One rotation message, a network delay after the round.
     ((at, to, sent, carried),) = log
@@ -134,9 +150,10 @@ def test_rotate_sends_each_jobs_probes_together_as_the_same_objects():
     assert len(sent) == 3
     assert all(got is want for got, want in zip(sent, (a0, a1, b0)))
     assert [p.rotations for p in sent] == [1, 1, 1]
-    # The idle successor reserved its slot for the first and took the rest.
+    # The idle successor reserved its slot for the first; under the tight
+    # quota the rest went on to its rotating buffer.
     assert successor.slot is a0
-    assert successor.held == {a0.key, a1.key, b0.key}
+    assert successor.queue.rotating == [a1, b0]
 
 
 def test_rotation_sends_on_state_news_alone():
@@ -177,6 +194,35 @@ def test_ring_round_sends_only_from_workers_with_probes_or_news_in_order():
     assert [(at, to, sent, carried.version) for at, to, sent, carried in log] \
         == [(3 * US + 5_000, 2, [p], (0, 0)),
             (3 * US + 5_000, 0, (), (2 * US, 0))]
+
+
+def test_probe_convoy_moves_one_worker_per_round_and_drops_one_probe():
+    """Today's rotation hands a worker's whole buffer to its successor.  An
+    idle successor reserves its slot for one probe and, under a quota of
+    one, sends the rest on: the pack moves one worker per round and loses
+    one probe at each, while the workers it has passed sit reserved with
+    empty queues."""
+    sim = Simulation(SimConfig(workers=6, net_delay_us=5_000))
+    sched = Recorder(sim)
+    workers = [PeacockWorker(sim, i) for i in range(6)]
+    ring = Ring(sim, workers)
+    run_busy(workers[0], sched)
+    pack = [probe(job, scheduler=sched.eid) for job in "abcde"]
+    tight = state(1, 10_000)
+    for p in pack:
+        workers[0].handle(("probe", p, tight), 10 * US)
+    assert workers[0].queue.rotating == pack
+    for k in range(1, 6):
+        ring.handle(("round",), (10 + k) * US)
+        drain(sim)
+        assert [len(w.queue.rotating) for w in workers] \
+            == [5 - k if i == k else 0 for i in range(6)]
+        for i, w in enumerate(workers[1:k + 1], start=1):
+            # Each passed worker holds the pack's first probe at its visit.
+            assert w.slot is pack[i - 1] and w.finish_us is None
+            assert w.slot.rotations == i and w.queue.entries == []
+        assert all(w.slot is None for w in workers[k + 1:])
+    assert [m[1] for _, m in sched.inbox] == pack
 
 
 def count_trims(monkeypatch):
@@ -256,7 +302,7 @@ def test_rotate_groups_by_job_in_first_seen_order(buffer, sent_order):
         worker.handle(("probe", by_name[name], state(1, 10_000)), 10 * US)
     assert worker.queue.rotating == [by_name[n] for n in buffer]
     sent = worker.rotate()
-    assert worker.queue.rotating == [] and worker.held == set()
+    assert worker.queue.rotating == []
     assert sim.counters["probe_hops"] == len(buffer)
     assert len(sent) == len(sent_order)
     assert all(got is by_name[n] for got, n in zip(sent, sent_order))
