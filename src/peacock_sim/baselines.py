@@ -185,6 +185,8 @@ class SparrowScheduler(Scheduler):
                                                  theta, 0, eid)), now)
 
     def bind(self, job, stage_idx, probe):
+        if job is None:
+            return None                     # the job has finished
         task_id = job.pool_next[stage_idx]
         if task_id >= len(job.record.stages[stage_idx].durations_us):
             return None

@@ -151,6 +151,10 @@ def _check_quiescence(sim, workers, schedulers):
             raise SimulationError(
                 "scheduler %d aggregate not drained: (%d, %d)"
                 % (s.sid, s.probe_count, s.load_us))
+        for job_id, job in s.jobs.items():
+            if job is not None:
+                raise SimulationError("scheduler %d still holds the state "
+                                      "of job %r" % (s.sid, job_id))
     for w in workers:
         if w.slot is not None:
             raise SimulationError("worker %d not idle at quiescence" % w.index)

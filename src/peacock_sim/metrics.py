@@ -11,7 +11,7 @@ from .engine import US_PER_S
 CDF_POINTS = 100
 
 
-@dataclass
+@dataclass(slots=True)
 class JobRecord:
     """One job's outcome.  Its scheduler fills it in while the job runs;
     it is final once it is in ``sim.records``."""

@@ -5,9 +5,15 @@ it admits a job's dependency-free stages on ``job``; on ``task_request``
 it binds the requesting probe to a task and sends ``assign``, or
 ``cancel`` when the probe's stage has no task left; on ``task_finish`` it
 admits the stages that became ready and, after the job's last task,
-records the job.  Each stage of a job DAG is scheduled as an independent
-unit.  Each algorithm adds only where a stage's probes go and how a probe
-is bound to its task.
+records the job and frees its state.  Each stage of a job DAG is scheduled
+as an independent unit.  Each algorithm adds only where a stage's probes go
+and how a probe is bound to its task.
+
+A scheduler's ``jobs`` holds the jobs in flight, each with its
+``JobState``, and None for a job that has finished.  So its memory follows
+the jobs in flight, while a late request for a finished job is still told
+apart from one for a job it never admitted.  A job's launch state is one
+byte per task, kept per stage: 0 unlaunched, 1 running, 2 finished.
 
 ``PeacockScheduler`` sends one probe per task, bound to its task at
 admission, to randomly drawn workers.  Its scheduler-wide aggregate (probe
@@ -44,9 +50,20 @@ def mean_us(durations):
     return q
 
 
+# What ``Scheduler.jobs.get`` returns for a job it never admitted; None is
+# a finished job.
+_UNSEEN = object()
+
+
+def _double_finish(key, job_id):
+    return ProtocolError("double finish of task %r of job %r" % (key, job_id))
+
+
 class JobState:
-    """A running job.  ``result`` is the job's ``JobRecord``: filled in as
-    its tasks launch and finish, and final once it is in ``sim.records``."""
+    """A job in flight.  ``result`` is the job's ``JobRecord``: filled in as
+    its tasks launch and finish, and final once it is in ``sim.records``.
+    ``launched[stage][task]`` is that task's state: 0 unlaunched, 1
+    running, 2 finished."""
 
     __slots__ = ("record", "result", "thetas", "stage_remaining",
                  "remaining_deps", "dependents", "launched", "pool_next")
@@ -61,23 +78,23 @@ class JobState:
         for i, stage in enumerate(record.stages):
             for d in stage.deps:
                 self.dependents[d].append(i)
-        # (stage, task) -> whether that launched task has finished.
-        self.launched = {}
+        self.launched = [bytearray(len(s.durations_us))
+                         for s in record.stages]
         # Late-binding task pool cursor per stage (baselines only).
         self.pool_next = [0] * len(record.stages)
 
     def task_finished(self, stage_idx, task_id, finish_us):
         """Record one task completion, exactly once per launched task;
         return stage indices that became ready for submission."""
-        key = (stage_idx, task_id)
-        finished = self.launched.get(key)
-        if finished is None:
-            raise ProtocolError("finish for unlaunched task %r of job %r"
-                                % (key, self.record.job_id))
-        if finished:
-            raise ProtocolError("double finish of task %r of job %r"
-                                % (key, self.record.job_id))
-        self.launched[key] = True
+        launched = self.launched[stage_idx]
+        state = launched[task_id]
+        if state != 1:
+            key = (stage_idx, task_id)
+            if not state:
+                raise ProtocolError("finish for unlaunched task %r of job %r"
+                                    % (key, self.record.job_id))
+            raise _double_finish(key, self.record.job_id)
+        launched[task_id] = 2
         self.result.completion_us = max(self.result.completion_us, finish_us)
         self.stage_remaining[stage_idx] -= 1
         ready = []
@@ -109,6 +126,7 @@ class Scheduler:
                                       % (sid, eid))
         self.worker_eids = worker_eids
         self.rng = rng
+        # job id -> its JobState while in flight; None once finished.
         self.jobs = {}
 
     def handle(self, payload, now):
@@ -134,19 +152,18 @@ class Scheduler:
 
     def on_task_request(self, probe, worker_eid, now):
         job_id, stage_idx = probe.job_id
-        job = self.jobs.get(job_id)
-        if job is None:
+        job = self.jobs.get(job_id, _UNSEEN)
+        if job is _UNSEEN:
             raise ProtocolError("task request for unknown job %r" % (job_id,))
         task_id = self.bind(job, stage_idx, probe)
         if task_id is None:
             self.sim.counters["probes_cancelled"] += 1
             self.sim.send(worker_eid, ("cancel", probe.key), now)
             return
-        key = (stage_idx, task_id)
-        if key in job.launched:
+        if job is None or job.launched[stage_idx][task_id]:
             raise ProtocolError("task %r of job %r already launched"
-                                % (key, job_id))
-        job.launched[key] = False
+                                % ((stage_idx, task_id), job_id))
+        job.launched[stage_idx][task_id] = 1
         job.result.rotations.append(probe.rotations)
         self.sim.counters["tasks_launched"] += 1
         duration = job.record.stages[stage_idx].durations_us[task_id]
@@ -155,7 +172,8 @@ class Scheduler:
 
     def bind(self, job, stage_idx, probe):
         """The task ``probe`` launches, or None to cancel it; by default
-        the task it was bound to at admission."""
+        the task it was bound to at admission.  ``job`` is None once the
+        job has finished."""
         return probe.task_id
 
     def assignment(self, probe, task_id, duration_us, now):
@@ -164,14 +182,17 @@ class Scheduler:
 
     def on_task_finish(self, job_key, task_id, finish_us, now):
         job_id, stage_idx = job_key
-        job = self.jobs.get(job_id)
-        if job is None:
+        job = self.jobs.get(job_id, _UNSEEN)
+        if job is _UNSEEN:
             raise ProtocolError("finish for unknown job %r" % (job_id,))
+        if job is None:
+            raise _double_finish((stage_idx, task_id), job_id)
         self.release(job, stage_idx, now)
         for ready in job.task_finished(stage_idx, task_id, finish_us):
             self.submit_stage(job, ready, now)
         if job.done:
             self.sim.records.append(job.result)
+            self.jobs[job_id] = None
 
     def release(self, job, stage_idx, now):
         """Runs for each finished task of ``stage_idx``, before the stages

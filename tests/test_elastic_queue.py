@@ -32,6 +32,20 @@ def test_enqueue_empty_queue_inserts_at_head():
     assert q.total_runtime_us == 5 * US
 
 
+def test_enqueue_under_zero_probe_quota_bounces_to_rotating():
+    # A quota that rounds to 0 (sparse load on many workers) admits no
+    # probe: an empty queue inserts the newcomer and the trim evicts it at
+    # once, into the rotating buffer.
+    q = WaitingQueue()
+    p = probe("p", lam=0, theta=5, mu=10)
+    outcome, evicted = q.enqueue(p, now_us=0, running_remaining_us=0,
+                                 state=SharedState(0, 10_000 * US, (0, 0)))
+    assert (outcome, evicted) == (INSERTED, [p])
+    assert q.entries == []
+    assert q.total_runtime_us == 0
+    assert q.rotating == [p]
+
+
 def test_enqueue_shorter_later_probe_bypasses():
     # One waiting probe q(arr=0, rt=10, allow=30); running task has 5s left.
     # p(arr=1, rt=4, allow=30) at t=2 starts with wait 15, passes q because

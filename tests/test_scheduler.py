@@ -1,5 +1,6 @@
 """Scheduler tests: quota arithmetic, aggregate accounting, peer updates,
-probe placement, dispatch exactly-once, and DAG stage ordering."""
+probe placement, dispatch exactly-once, finished jobs, and DAG stage
+ordering."""
 
 import random
 import statistics
@@ -8,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peacock_sim.baselines import EagleScheduler, SparrowScheduler
+from peacock_sim.driver import run_simulation
 from peacock_sim.engine import (ProtocolError, SimConfig, Simulation,
                                 SimulationError, derived_rng)
 from peacock_sim.metrics import JobRecord
 from peacock_sim.probes import Probe, SharedState
-from peacock_sim.scheduler import JobState, PeacockScheduler, mean_us, \
-    pick_workers, probe_quota
+from peacock_sim.scheduler import JobState, PeacockScheduler, Scheduler, \
+    mean_us, pick_workers, probe_quota
 from peacock_sim.workload import Stage, TraceRecord
 
 US = 1_000_000
@@ -283,17 +286,107 @@ def test_job_completion_emits_record_once():
     sim, sched, recorders, _ = make_scheduler()
     sched.on_job_arrival(job("j", [5, 7]), now=2 * US)
     probes = launch_all(sim, sched, recorders)
+    state = sched.jobs["j"]
     for p in probes:
         sched.handle(("task_finish", p.job_id, p.task_id,
                       (10 + p.task_id) * US), (10 + p.task_id) * US)
     assert len(sim.records) == 1
     (rec,) = sim.records
-    # The record the job filled while it ran, not a copy made at the end.
-    assert rec is sched.jobs["j"].result
+    # The record the job filled while it ran, not a copy made at the end;
+    # the job's state is freed once it is recorded.
+    assert rec is state.result
+    assert sched.jobs["j"] is None
     assert rec.job_id == "j"
     assert rec.arrival_us == 2 * US
     assert rec.completion_us == 11 * US
     assert sorted(rec.rotations) == [0, 0]
+
+
+# -- finished jobs -----------------------------------------------------------
+
+def complete_one_task_job(algo, duration_s):
+    """Admit job "j" of one task to a scheduler of ``algo``, launch the task
+    with the job's first probe and finish it.  Returns the simulation, the
+    scheduler and every probe of the job as ``(worker eid, probe)``."""
+    if algo == "peacock":
+        sim, sched, recorders, _ = make_scheduler(workers=4)
+    else:
+        sim = Simulation(SimConfig(workers=4, algo=algo))
+        recorders = [Recorder(sim) for _ in range(4)]
+        eids = [r.eid for r in recorders]
+        rng = derived_rng(3, "sched", 0)
+        sched = (SparrowScheduler(sim, 0, eids, rng) if algo == "sparrow"
+                 else EagleScheduler(sim, 0, eids, rng, Recorder(sim).eid))
+    sched.on_job_arrival(job("j", [duration_s]), now=0)
+    sim.run()
+    probes = [(r.eid, m[1]) for r in recorders for _, m in r.inbox
+              if m[0] == "probe"]
+    if not probes:
+        # An Eagle long stage went to the central placer, which binds its
+        # probe to the task.
+        probes = [(recorders[0].eid,
+                   Probe(("j", 0), 0, 0, duration_s * US, 0, sched.eid))]
+    eid, first = probes[0]
+    now = sim.now
+    sched.handle(("task_request", first, eid), now)
+    sched.handle(("task_finish", ("j", 0), 0, now + duration_s * US),
+                 now + duration_s * US)
+    assert len(sim.records) == 1
+    assert sched.jobs == {"j": None}
+    return sim, sched, probes
+
+
+def test_surplus_probe_of_a_finished_job_is_cancelled():
+    sim, sched, probes = complete_one_task_job("sparrow", 5)
+    eid, surplus = probes[1]
+    cancelled = sim.counters["probes_cancelled"]
+    sched.handle(("task_request", surplus, eid), sim.now)
+    assert sim.counters["probes_cancelled"] == cancelled + 1
+    sim.run()
+    assert sim.entities[eid].inbox[-1][1] == ("cancel", surplus.key)
+
+
+@pytest.mark.parametrize("algo, duration_s", [("peacock", 5), ("eagle", 10)])
+def test_bound_probe_of_a_finished_job_is_already_launched(algo, duration_s):
+    sim, sched, probes = complete_one_task_job(algo, duration_s)
+    eid, first = probes[0]
+    with pytest.raises(ProtocolError,
+                       match=r"task \(0, 0\) of job 'j' already launched"):
+        sched.handle(("task_request", first, eid), sim.now)
+
+
+@pytest.mark.parametrize("algo", ["peacock", "sparrow", "eagle"])
+def test_finish_for_a_finished_job_is_a_double_finish(algo):
+    sim, sched, _ = complete_one_task_job(algo, 5)
+    with pytest.raises(ProtocolError,
+                       match=r"double finish of task \(0, 0\) of job 'j'"):
+        sched.handle(("task_finish", ("j", 0), 0, sim.now), sim.now)
+
+
+def test_job_never_admitted_is_unknown_after_others_finish():
+    sim, sched, _ = complete_one_task_job("peacock", 5)
+    stranger = Probe(("k", 0), 0, 0, 5 * US, 0, sched.eid)
+    with pytest.raises(ProtocolError,
+                       match="task request for unknown job 'k'"):
+        sched.handle(("task_request", stranger, 0), sim.now)
+    with pytest.raises(ProtocolError, match="finish for unknown job 'k'"):
+        sched.handle(("task_finish", ("k", 0), 0, sim.now), sim.now)
+
+
+@pytest.mark.parametrize("algo", ["peacock", "sparrow", "eagle"])
+def test_quiescence_rejects_a_job_state_never_released(algo, monkeypatch):
+    finish = Scheduler.on_task_finish
+
+    def keep_state(self, job_key, task_id, finish_us, now):
+        state = self.jobs[job_key[0]]
+        finish(self, job_key, task_id, finish_us, now)
+        self.jobs[job_key[0]] = state       # as if it were never released
+
+    monkeypatch.setattr(Scheduler, "on_task_finish", keep_state)
+    with pytest.raises(SimulationError,
+                       match="scheduler 0 still holds the state of job 'j'"):
+        run_simulation(SimConfig(workers=2, schedulers=1, algo=algo),
+                       [job("j", [5])])
 
 
 # -- DAG stage ordering ------------------------------------------------------
@@ -328,7 +421,8 @@ def test_job_state_diamond_readiness():
         Stage([1 * US]), Stage([1 * US], deps=[0]),
         Stage([1 * US], deps=[0]), Stage([1 * US], deps=[1, 2])])
     js = JobState(record, JobRecord("d", 0, 0, 0))
-    js.launched = dict.fromkeys([(0, 0), (1, 0), (2, 0), (3, 0)], False)
+    for stage in js.launched:
+        stage[0] = 1                        # every task running
     assert sorted(js.task_finished(0, 0, 1)) == [1, 2]
     assert js.task_finished(1, 0, 2) == []
     assert js.task_finished(2, 0, 3) == [3]
