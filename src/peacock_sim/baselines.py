@@ -178,11 +178,12 @@ class SparrowScheduler(Scheduler):
         eid = self.eid
         targets = pick_workers(self.rng, len(worker_eids), count)
         self.sim.counters["probes_created"] += count
-        # Probe(job, task, arrival, runtime estimate, allowance, scheduler)
+        # Probe((job, stage), task, arrival, runtime estimate, allowance,
+        # scheduler); the task is None, since bind picks it at the slot.
         send = self.sim.send
-        for i, w in enumerate(targets):
-            send(worker_eids[w], ("probe", Probe(job_key, ("probe", i), now,
-                                                 theta, 0, eid)), now)
+        for w in targets:
+            send(worker_eids[w], ("probe", Probe(job_key, None, now, theta, 0,
+                                                 eid)), now)
 
     def bind(self, job, stage_idx, probe):
         if job is None:

@@ -43,15 +43,19 @@ EMPTY_STATE = SharedState(0, 0, (-1, -1))
 class Probe:
     """Placeholder for one task, enqueued at workers ahead of the task data.
 
+    ``job_id`` is the ``(job, stage)`` key of the probe's stage and
+    ``task_id`` the task it is bound to, None for a late-binding probe,
+    whose scheduler picks the task when the probe reaches a slot.
     ``arrival_us`` (job arrival), ``runtime_us`` (runtime estimate) and
     ``allowance_us`` (waiting-time allowance, frozen at admission) never
-    change after creation, so ``deadline_us`` and ``key`` are computed
-    once.  ``rotations`` counts ring hops.
+    change after creation, so ``deadline_us`` is computed once; ``key``
+    is derived from ``job_id`` and ``task_id`` when read.  ``rotations``
+    counts ring hops.
     """
 
     __slots__ = (
         "job_id", "task_id", "arrival_us", "runtime_us", "allowance_us",
-        "deadline_us", "key", "rotations", "scheduler",
+        "deadline_us", "rotations", "scheduler",
         "resampled", "enqueued_us",
     )
 
@@ -67,12 +71,15 @@ class Probe:
         self.runtime_us = runtime_us
         self.allowance_us = allowance_us
         self.deadline_us = arrival_us + allowance_us
-        self.key = (job_id, task_id)
         self.rotations = 0
         self.scheduler = scheduler
         # Eagle-only bookkeeping (re-sampling, SRPT ordering).
         self.resampled = False
         self.enqueued_us = 0
+
+    @property
+    def key(self):
+        return (self.job_id, self.task_id)
 
     def __repr__(self):
         return ("Probe(job=%r, task=%r, arr=%d, rt=%d, allow=%d, rot=%d)"

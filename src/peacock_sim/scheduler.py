@@ -158,7 +158,7 @@ class Scheduler:
         task_id = self.bind(job, stage_idx, probe)
         if task_id is None:
             self.sim.counters["probes_cancelled"] += 1
-            self.sim.send(worker_eid, ("cancel", probe.key), now)
+            self.sim.send(worker_eid, ("cancel", probe), now)
             return
         if job is None or job.launched[stage_idx][task_id]:
             raise ProtocolError("task %r of job %r already launched"
@@ -178,7 +178,7 @@ class Scheduler:
 
     def assignment(self, probe, task_id, duration_us, now):
         """The ``assign`` payload that launches ``task_id`` for ``probe``."""
-        return ("assign", probe.key, task_id, duration_us)
+        return ("assign", probe, task_id, duration_us)
 
     def on_task_finish(self, job_key, task_id, finish_us, now):
         job_id, stage_idx = job_key
@@ -268,12 +268,13 @@ class PeacockScheduler(Scheduler):
         eid = self.eid
         targets = pick_workers(self.rng, len(worker_eids), n)
         self.sim.counters["probes_created"] += n
-        # Probe(job, task, arrival, runtime estimate, allowance, scheduler)
+        # Probe((job, stage), task, arrival, runtime estimate, allowance,
+        # scheduler); each probe is bound to its task here.
         send = self.sim.send
         for task_id, w in enumerate(targets):
             send(worker_eids[w], ("probe", Probe(job_key, task_id, now, theta,
                                                  allowance, eid), state), now)
 
     def assignment(self, probe, task_id, duration_us, now):
-        return ("assign", probe.key, task_id, duration_us,
+        return ("assign", probe, task_id, duration_us,
                 self.shared_state(now))

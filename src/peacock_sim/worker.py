@@ -3,14 +3,16 @@
 Every algorithm's worker runs one late-binding slot, kept once in
 ``SlotWorker``.  A probe that reaches a free slot *reserves* it and asks
 its scheduler for the task; the scheduler answers ``assign`` (or, when it
-has no task left for the probe, ``cancel``); the task runs until its
-``complete`` timer, the worker reports ``task_finish`` and then reserves
-for the next probe of its queue or goes idle.  While reserved, the worker
-neither executes nor pulls another probe.  Two attributes hold the slot's
-state: ``slot`` is the probe that holds it (None while idle), and
-``finish_us`` the instant its task ends (None while reserved or idle).
-Each algorithm's worker adds only its arrival rule, its queue order and a
-hook run after the finish report.
+has no task left for the probe, ``cancel``).  Both carry the reserved
+probe itself, and the worker matches them to its slot by identity: an
+answer for any other probe, even an equal copy, is a ``ProtocolError``.
+The task runs until its ``complete`` timer, the worker reports
+``task_finish`` and then reserves for the next probe of its queue or goes
+idle.  While reserved, the worker neither executes nor pulls another
+probe.  Two attributes hold the slot's state: ``slot`` is the probe that
+holds it (None while idle), and ``finish_us`` the instant its task ends
+(None while reserved or idle).  Each algorithm's worker adds only its
+arrival rule, its queue order and a hook run after the finish report.
 
 ``PeacockWorker`` is one node of the ring.  Its elastic queue sees a
 remaining runtime of zero while the slot is reserved.  Probes marked for
@@ -55,8 +57,8 @@ class SlotWorker:
         if kind == "probe":
             self.on_probe_arrival(payload[1], now)
         elif kind == "assign":
-            _, probe_key, task_id, duration_us = payload
-            self.on_task_assign(probe_key, task_id, duration_us, now)
+            _, probe, task_id, duration_us = payload
+            self.on_task_assign(probe, task_id, duration_us, now)
         elif kind == "cancel":
             self.on_task_cancel(payload[1], now)
         elif kind == "complete":
@@ -70,21 +72,20 @@ class SlotWorker:
         self.slot = probe
         self.sim.send(probe.scheduler, ("task_request", probe, self.eid), now)
 
-    def _take_reservation(self, probe_key, what):
-        probe = self.slot
-        if (probe is None or probe.key != probe_key
+    def _take_reservation(self, probe, what):
+        if (probe is None or self.slot is not probe
                 or self.finish_us is not None):
             raise ProtocolError("worker %d: %s without matching reservation"
                                 % (self.index, what))
 
-    def on_task_assign(self, probe_key, task_id, duration_us, now):
-        self._take_reservation(probe_key, "task assignment")
+    def on_task_assign(self, probe, task_id, duration_us, now):
+        self._take_reservation(probe, "task assignment")
         self.finish_us = now + duration_us
         self.sim.schedule_at(self.finish_us, self.eid,
                              ("complete", task_id, duration_us))
 
-    def on_task_cancel(self, probe_key, now):
-        self._take_reservation(probe_key, "cancel")
+    def on_task_cancel(self, probe, now):
+        self._take_reservation(probe, "cancel")
         self._next_or_idle(now)
 
     def on_task_complete(self, task_id, duration_us, now):
@@ -138,9 +139,9 @@ class PeacockWorker(SlotWorker):
             self.adopt_shared_state(state)
             self.accept((probe,), now)
         elif kind == "assign":
-            _, probe_key, task_id, duration_us, state = payload
+            _, probe, task_id, duration_us, state = payload
             self.adopt_shared_state(state)
-            self.on_task_assign(probe_key, task_id, duration_us, now)
+            self.on_task_assign(probe, task_id, duration_us, now)
         elif kind == "complete":
             _, task_id, duration_us = payload
             self.on_task_complete(task_id, duration_us, now)

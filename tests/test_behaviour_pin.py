@@ -17,6 +17,7 @@ such a rename fail here instead.
 """
 
 import dataclasses
+import gc
 import hashlib
 import json
 import random
@@ -27,6 +28,7 @@ from peacock_sim import driver
 from peacock_sim.baselines import LONG_CUTOFF_US, PROBE_RATIO
 from peacock_sim.engine import SimConfig, Simulation
 from peacock_sim.metrics import summarize
+from peacock_sim.probes import Probe
 from peacock_sim.scheduler import JobState
 from peacock_sim.workload import (Stage, SyntheticSpec, TraceRecord, generate,
                                   load_trace, save_trace)
@@ -215,6 +217,37 @@ def test_job_state_slots_are_pinned():
     assert JobState.__slots__ == (
         "record", "result", "thetas", "stage_remaining", "remaining_deps",
         "dependents", "launched", "pool_next")
+
+
+def test_probe_slots_are_pinned():
+    # A probe's key is derived from job_id and task_id, not kept.
+    assert Probe.__slots__ == (
+        "job_id", "task_id", "arrival_us", "runtime_us", "allowance_us",
+        "deadline_us", "rotations", "scheduler", "resampled", "enqueued_us")
+
+
+@pytest.mark.parametrize("algo", sorted(ENTITY_KINDS))
+def test_sent_probes_hold_no_tuple_but_their_job_key(dag_records, algo,
+                                                     monkeypatch):
+    # Thousands of probes can wait at once, so each holds its (job, stage)
+    # key and no second tuple: no stored (job, task) key, no task label.
+    sent = []
+    send = Simulation.send
+
+    def recording_send(sim, target, payload, now_us):
+        if payload[0] == "probe":
+            sent.append(payload[1])
+        return send(sim, target, payload, now_us)
+
+    monkeypatch.setattr(Simulation, "send", recording_send)
+    driver.run_simulation(
+        SimConfig(workers=20, schedulers=2, seed=1, algo=algo), dag_records)
+    assert sent
+    if algo != "peacock":
+        assert any(p.task_id is None for p in sent)
+    for p in sent:
+        assert [r for r in gc.get_referents(p)
+                if type(r) is tuple] == [p.job_id]
 
 
 @pytest.mark.parametrize("algo", sorted(ENTITY_KINDS))

@@ -32,18 +32,27 @@ def test_enqueue_empty_queue_inserts_at_head():
     assert q.total_runtime_us == 5 * US
 
 
-def test_enqueue_under_zero_probe_quota_bounces_to_rotating():
+@pytest.mark.parametrize("state", [
+    SharedState(0, 10_000 * US, (0, 0)),
+    SharedState(100, 0, (0, 0)),
+], ids=["probe_quota-0", "load_quota-0"])
+def test_empty_queue_under_a_zero_quota_matches_reference_model(state):
     # A quota that rounds to 0 (sparse load on many workers) admits no
     # probe: an empty queue inserts the newcomer and the trim evicts it at
-    # once, into the rotating buffer.
-    q = WaitingQueue()
+    # once, behind what already rotates.  There is no fast path for this
+    # case, and the reference takes the same steps.
+    earlier = probe("earlier", theta=2, mu=10)
+    real = WaitingQueue()
+    real.rotating.append(earlier)
+    ref_entries, ref_rotating = [], [earlier]
     p = probe("p", lam=0, theta=5, mu=10)
-    outcome, evicted = q.enqueue(p, now_us=0, running_remaining_us=0,
-                                 state=SharedState(0, 10_000 * US, (0, 0)))
-    assert (outcome, evicted) == (INSERTED, [p])
-    assert q.entries == []
-    assert q.total_runtime_us == 0
-    assert q.rotating == [p]
+    outcome, evicted = real.enqueue(p, now_us=0, running_remaining_us=0,
+                                    state=state)
+    ref_evicted = ref_enqueue(ref_entries, ref_rotating, p, 0, 0, state)
+    assert (outcome, evicted) == (INSERTED, [p]) == (INSERTED, ref_evicted)
+    assert real.entries == ref_entries == []
+    assert real.total_runtime_us == 0
+    assert real.rotating == ref_rotating == [earlier, p]
 
 
 def test_enqueue_shorter_later_probe_bypasses():

@@ -343,7 +343,7 @@ def test_surplus_probe_of_a_finished_job_is_cancelled():
     sched.handle(("task_request", surplus, eid), sim.now)
     assert sim.counters["probes_cancelled"] == cancelled + 1
     sim.run()
-    assert sim.entities[eid].inbox[-1][1] == ("cancel", surplus.key)
+    assert sim.entities[eid].inbox[-1][1] == ("cancel", surplus)
 
 
 @pytest.mark.parametrize("algo, duration_s", [("peacock", 5), ("eagle", 10)])

@@ -1,6 +1,8 @@
 """Worker state machine tests: probe arrival scenarios, rotation rounds,
 shared-state adoption, and the task lifecycle."""
 
+import copy
+
 import pytest
 
 from peacock_sim import driver
@@ -388,7 +390,7 @@ def test_assign_runs_task_and_completion_promotes_queue():
     q = probe("k", lam=1, theta=3, scheduler=sched.eid)
     worker.handle(("probe", q, state(5, 100)), 1 * US)
     assert worker.queue.entries == [q]
-    worker.handle(("assign", ("j", 0), 0, 68 * US, state(5, 100)), 10 * US)
+    worker.handle(("assign", p, 0, 68 * US, state(5, 100)), 10 * US)
     assert worker.slot is p
     assert worker.finish_us == 78 * US
     sim.run()
@@ -403,7 +405,7 @@ def test_completion_with_empty_queue_goes_idle():
     sim, worker, sched, _ = make_worker()
     p = probe("j", scheduler=sched.eid)
     worker.handle(("probe", p, state(5, 100)), 0)
-    worker.handle(("assign", ("j", 0), 0, 10 * US, state(5, 100)), 0)
+    worker.handle(("assign", p, 0, 10 * US, state(5, 100)), 0)
     sim.run()
     assert worker.slot is None and worker.finish_us is None
     assert worker.queue.entries == []
@@ -412,7 +414,7 @@ def test_completion_with_empty_queue_goes_idle():
 def test_assign_without_reservation_is_protocol_violation():
     sim, worker, _, _ = make_worker()
     with pytest.raises(ProtocolError):
-        worker.handle(("assign", ("j", 0), 0, 10 * US, state(5, 100)), 0)
+        worker.handle(("assign", probe("j"), 0, 10 * US, state(5, 100)), 0)
 
 
 # -- the slot, on every algorithm's worker -----------------------------------
@@ -453,7 +455,7 @@ def test_slot_holds_its_probe_and_finish_through_the_lifecycle(cls):
     for x in (q, r):
         worker.handle(message("probe", x), 1 * US)
     assert slot() == (p, None)
-    worker.handle(message("assign", p.key, 0, 10 * US), 2 * US)
+    worker.handle(message("assign", p, 0, 10 * US), 2 * US)
     assert slot() == (p, 12 * US)
     # The complete timer at 12 s reports p's task and reserves for q.
     sim.run()
@@ -463,18 +465,18 @@ def test_slot_holds_its_probe_and_finish_through_the_lifecycle(cls):
     assert sim.counters["busy_us"] == 10 * US
     if cls is PeacockWorker:
         # Peacock's schedulers have a task for every probe; run q's.
-        worker.handle(message("assign", q.key, 1, 1 * US), sim.now)
+        worker.handle(message("assign", q, 1, 1 * US), sim.now)
         sim.run()
     else:
-        worker.handle(("cancel", q.key), sim.now)
+        worker.handle(("cancel", q), sim.now)
     assert slot() == (r, None)
-    worker.handle(message("assign", r.key, 2, 1 * US), sim.now)
+    worker.handle(message("assign", r, 2, 1 * US), sim.now)
     sim.run()
     assert slot() == (None, None)
     if cls is not PeacockWorker:
         worker.handle(message("probe", t), sim.now)
         assert slot() == (t, None)
-        worker.handle(("cancel", t.key), sim.now)
+        worker.handle(("cancel", t), sim.now)
         assert slot() == (None, None)
 
 
@@ -486,7 +488,7 @@ def test_complete_outside_its_tasks_end_is_protocol_violation(cls, phase):
     if phase != "idle":
         worker.handle(message("probe", p), 0)
     if phase == "running":
-        worker.handle(message("assign", p.key, 0, 10 * US), 0)
+        worker.handle(message("assign", p, 0, 10 * US), 0)
     with pytest.raises(ProtocolError, match="complete without a task"):
         worker.handle(("complete", 0, 10 * US), 5 * US)
 
@@ -496,7 +498,28 @@ def test_assign_on_a_running_slot_is_protocol_violation(cls):
     sim, worker, sched, message = make_slot_worker(cls)
     p = probe("j", theta=1, scheduler=sched.eid)
     worker.handle(message("probe", p), 0)
-    worker.handle(message("assign", p.key, 0, 10 * US), 0)
+    worker.handle(message("assign", p, 0, 10 * US), 0)
     with pytest.raises(ProtocolError, match="without matching reservation"):
-        worker.handle(message("assign", p.key, 0, 10 * US), 1 * US)
+        worker.handle(message("assign", p, 0, 10 * US), 1 * US)
     assert worker.slot is p and worker.finish_us == 10 * US
+
+
+@pytest.mark.parametrize("cls, kind", [
+    (PeacockWorker, "assign"), (SparrowWorker, "assign"),
+    (SparrowWorker, "cancel"), (EagleWorker, "assign"),
+    (EagleWorker, "cancel"),
+], ids=lambda x: getattr(x, "__name__", x))
+def test_answer_for_a_copy_of_the_reserved_probe_is_protocol_violation(
+        cls, kind):
+    # An answer is matched to the slot by identity: an equal copy of the
+    # reserved probe holds no reservation.  Peacock never cancels.
+    sim, worker, sched, message = make_slot_worker(cls)
+    p = probe("j", theta=1, scheduler=sched.eid)
+    worker.handle(message("probe", p), 0)
+    twin = copy.copy(p)
+    assert twin is not p and twin.key == p.key
+    answer = (message("assign", twin, 0, 10 * US) if kind == "assign"
+              else ("cancel", twin))
+    with pytest.raises(ProtocolError, match="without matching reservation"):
+        worker.handle(answer, 1 * US)
+    assert worker.slot is p and worker.finish_us is None
