@@ -124,7 +124,7 @@ def run_simulation(config, records):
                                           "index" % (job_id, d))
                 if d >= stage_idx:
                     forward = True
-        if forward and not acyclic(stages, [False] * n, list(range(n))):
+        if forward and not acyclic(stages, [False] * n, range(n)):
             raise SimulationError("job %r: stage deps form a cycle"
                                   % (job_id,))
         sim.schedule_at(submit_us, schedulers[i % len(schedulers)].eid,

@@ -18,7 +18,7 @@ import json
 import math
 import random
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import US_PER_S, derived_rng
 
@@ -35,15 +35,20 @@ class LoadError(ValueError):
 
 @dataclass(slots=True)
 class Stage:
-    durations_us: list
-    deps: list = field(default_factory=list)
+    durations_us: tuple
+    deps: tuple = ()
 
 
 @dataclass(slots=True)
 class TraceRecord:
+    """One job.  ``load_trace`` and ``generate`` build its ``stages``,
+    and each stage's ``durations_us`` and ``deps``, as exact-size tuples.
+    The simulator only iterates, indexes and measures them, so a record
+    built by hand may hold lists."""
+
     job_id: object
     submit_us: int = None
-    stages: list = field(default_factory=list)
+    stages: tuple = ()
 
     @property
     def task_count(self):
@@ -54,17 +59,20 @@ class TraceRecord:
         return sum(sum(s.durations_us) for s in self.stages)
 
     def critical_path_us(self):
-        """Longest chain of per-stage longest tasks through the DAG."""
-        memo = {}
-
-        def longest(i):
-            if i not in memo:
-                stage = self.stages[i]
-                base = max(longest(d) for d in stage.deps) if stage.deps else 0
-                memo[i] = base + max(stage.durations_us)
-            return memo[i]
-
-        return max(longest(i) for i in range(len(self.stages)))
+        """Longest chain of per-stage longest tasks through the DAG,
+        summed in a topological order.  Raises ValueError if the deps
+        form a cycle."""
+        stages = self.stages
+        n = len(stages)
+        order = topological_order(stages, [False] * n, range(n))
+        if len(order) < n:
+            raise ValueError("stage deps form a cycle")
+        finish = [0] * n
+        for i in order:
+            stage = stages[i]
+            finish[i] = (max([finish[d] for d in stage.deps], default=0)
+                         + max(stage.durations_us))
+        return max(finish)
 
 
 _decode = json.JSONDecoder().decode
@@ -78,17 +86,17 @@ def _not(kind, name, value):
 def _parse_stages(stages):
     """Build a record's stages from its decoded ``stages`` array.
 
-    Returns ``(stages, valid)``.  A job is invalid, and pruned, if it has
-    no stages, an empty stage, a non-positive duration, a dep out of range
+    Returns ``(stages, valid)``, the stages as a tuple of Stage whose
+    ``durations_us`` and ``deps`` are tuples; a stage with no deps holds
+    the shared ``()``.  A job is invalid, and pruned, if it has no
+    stages, an empty stage, a non-positive duration, a dep out of range
     or cyclic deps.  A value of the wrong type raises TraceError, also in
-    an invalid job; a missing key raises KeyError.  The arrays ``json``
-    returned are kept, not copied.
+    an invalid job; a missing key raises KeyError.
 
-    Acyclicity is checked by sweeps in index order: a stage is marked once
-    all its deps are marked, and a sweep that marks nothing leaves only
-    stages on or behind a cycle.  The first sweep is this walk over the
-    stages, so a job whose deps all point to earlier stages needs no
-    other; deps that point forward are valid when acyclic.
+    This walk marks a stage once all its deps are marked; ``acyclic``
+    then checks only the stages it left unmarked.  A job whose deps all
+    point to earlier stages is fully marked here and needs no other
+    pass; deps that point forward are valid when acyclic.
     """
     if type(stages) is not list:
         raise _not("an array", "stages", stages)
@@ -110,12 +118,13 @@ def _parse_stages(stages):
                 raise _not("an integer", "duration", d)
             if d <= 0:
                 valid = False
+        deps = ()
         if "deps" in stage:
-            deps = stage["deps"]
-            if type(deps) is not list:
-                raise _not("an array", "deps", deps)
-        else:
-            deps = []
+            listed = stage["deps"]
+            if type(listed) is not list:
+                raise _not("an array", "deps", listed)
+            if listed:
+                deps = tuple(listed)
         ready = True
         for d in deps:
             if type(d) is not int:
@@ -128,26 +137,46 @@ def _parse_stages(stages):
             marked[i] = True
         else:
             unmarked.append(i)
-        built.append(Stage(durations, deps))
-    return built, valid and acyclic(built, marked, unmarked)
+        built.append(Stage(tuple(durations), deps))
+    return tuple(built), valid and acyclic(built, marked, unmarked)
+
+
+def topological_order(stages, marked, unmarked):
+    """The stage indices of ``unmarked`` in an order where each follows
+    its deps (Kahn's algorithm), given that the stages with ``marked[i]``
+    set need no ordering.  Stages on or behind a cycle are left out.
+    Each unmarked stage counts its unmarked deps, and a stage is released
+    when its count falls to 0, so the cost is linear in stages plus
+    deps.  Deps must be in range."""
+    waiting = {}
+    dependents = {}
+    order = []
+    for i in unmarked:
+        count = 0
+        for d in stages[i].deps:
+            if not marked[d]:
+                count += 1
+                dependents.setdefault(d, []).append(i)
+        if count:
+            waiting[i] = count
+        else:
+            order.append(i)
+    for i in order:             # grows as stages are released
+        for j in dependents.get(i, ()):
+            waiting[j] -= 1
+            if not waiting[j]:
+                order.append(j)
+    return order
 
 
 def acyclic(stages, marked, unmarked):
-    """Whether in-range deps form no cycle, by the sweeps of
-    ``_parse_stages`` over the stage indices ``unmarked``, in order:
-    ``marked[i]`` is set once all of stage i's deps are marked.  Pass
-    ``[False] * len(stages)`` and every index to sweep from scratch."""
-    while unmarked:
-        left = []
-        for i in unmarked:
-            if all(marked[d] for d in stages[i].deps):
-                marked[i] = True
-            else:
-                left.append(i)
-        if len(left) == len(unmarked):
-            return False
-        unmarked = left
-    return True
+    """Whether in-range deps form no cycle, given that the stages with
+    ``marked[i]`` set are on none and ``unmarked`` lists the others.
+    Pass ``[False] * len(stages)`` and every index to check from
+    scratch."""
+    return (not unmarked
+            or len(topological_order(stages, marked, unmarked))
+            == len(unmarked))
 
 
 def load_trace(path):
@@ -223,8 +252,8 @@ def save_trace(records, path):
         fh.write(json.dumps({"schema": SCHEMA}) + "\n")
         for r in records:
             obj = {"id": r.job_id,
-                   "stages": [{"durations_us": list(s.durations_us),
-                               "deps": list(s.deps)} for s in r.stages]}
+                   "stages": [{"durations_us": s.durations_us,
+                               "deps": s.deps} for s in r.stages]}
             if r.submit_us is not None:
                 obj["submit_us"] = r.submit_us
             fh.write(json.dumps(obj) + "\n")
@@ -268,8 +297,16 @@ class SyntheticSpec:
             raise ValueError("target load must be positive")
         if self.job_count < 1:
             raise ValueError("need at least one job")
+        # A job has at least one task, so a lower mean would be missed.
+        if not self.mean_tasks >= 1:
+            raise ValueError("mean_tasks %r is not at least 1"
+                             % (self.mean_tasks,))
         if self.duration_model not in ("lognormal", "two_class"):
             raise ValueError("unknown duration model %r" % self.duration_model)
+        if (self.duration_model == "two_class"
+                and not 0 <= self.short_fraction <= 1):
+            raise ValueError("short_fraction %r is not within [0, 1]"
+                             % (self.short_fraction,))
 
     @property
     def model_mean_duration_us(self):
@@ -292,16 +329,16 @@ def _sample_durations(rng, spec, count):
     if spec.duration_model == "lognormal":
         mu = math.log(spec.mean_duration_us) - spec.sigma ** 2 / 2.0
         samples = (rng.lognormvariate(mu, spec.sigma) for _ in range(count))
-        return [max(1, int(round(d))) for d in samples]
+        return tuple([max(1, int(round(d))) for d in samples])
     # Two-class mix: the class is drawn per job, so a job is wholly short
     # or wholly long (what drives head-of-line blocking between jobs).
     if rng.random() < spec.short_fraction:
-        return [spec.short_duration_us] * count
-    return [spec.long_duration_us] * count
+        return (spec.short_duration_us,) * count
+    return (spec.long_duration_us,) * count
 
 
 def generate(spec, workers):
-    """Generate arrival-stamped single-stage jobs.
+    """Generate arrival-stamped single-stage jobs, as records of tuples.
 
     Deterministic under ``spec.seed``; the empirical offered load converges
     to ``spec.load`` as the job count grows.
@@ -315,6 +352,6 @@ def generate(spec, workers):
         n = _sample_tasks(rng, spec.mean_tasks)
         durations = _sample_durations(rng, spec, n)
         records.append(TraceRecord(job_id=i, submit_us=int(t),
-                                   stages=[Stage(durations)]))
+                                   stages=(Stage(durations),)))
         t += rng.expovariate(1.0 / mean_gap)
     return records

@@ -1,6 +1,7 @@
 """Workload tests: trace parsing and validation, load calibration, and
 synthetic generator statistics."""
 
+import gc
 import graphlib
 import gzip
 import json
@@ -32,7 +33,7 @@ def test_roundtrip_preserves_records(tmp_path):
     loaded, dropped = load_trace(path)
     assert dropped == 0
     assert [(r.job_id, r.submit_us) for r in loaded] == [("a", 0), ("b", 3 * US)]
-    assert loaded[1].stages[1].deps == [0]
+    assert loaded[1].stages[1].deps == (0,)
 
 
 def test_gzip_roundtrip(tmp_path):
@@ -78,7 +79,7 @@ def test_invalid_jobs_are_pruned_not_fatal(tmp_path):
     ])
     records, dropped = load_trace(path)
     assert [r.job_id for r in records] == ["ok", "forward", "reversed"]
-    assert records[1].stages[0].deps == [1]
+    assert records[1].stages[0].deps == (1,)
     assert records[1].critical_path_us() == 3 * US
     assert dropped == 7
 
@@ -139,7 +140,8 @@ def test_jobs_are_pruned_exactly_when_graphlib_finds_a_cycle(
     assert dropped == len(lines) - len(kept)
     assert [fields(r) for r in records] == [
         (line["id"], line.get("submit_us"),
-         [(s["durations_us"], s.get("deps", [])) for s in line["stages"]])
+         [(tuple(s["durations_us"]), tuple(s.get("deps", ())))
+          for s in line["stages"]])
         for line in kept]
     save_trace(records, path)
     again, dropped = load_trace(path)
@@ -228,6 +230,88 @@ def test_unsupported_schema_is_fatal(tmp_path):
     write_lines(path, [{"schema": "other-2"}])
     with pytest.raises(TraceError, match="schema"):
         load_trace(path)
+
+
+def chain_lines(n, duration_us):
+    """One job of ``n`` one-task stages, each depending on the next."""
+    return [{"id": "chain", "submit_us": 0,
+             "stages": [{"durations_us": [duration_us],
+                         "deps": [i + 1] if i + 1 < n else []}
+                        for i in range(n)]}]
+
+
+def test_forward_chain_of_5000_stages_is_valid(tmp_path):
+    # Each stage's only dep points forward, so the parse walk marks just
+    # the last stage and the cycle check must release the rest in one pass.
+    path = tmp_path / "chain.jsonl"
+    write_lines(path, chain_lines(5000, 5))
+    records, dropped = load_trace(path)
+    assert dropped == 0
+    assert len(records[0].stages) == 5000
+
+
+def test_critical_path_of_a_long_chain_needs_no_recursion(tmp_path):
+    path = tmp_path / "chain.jsonl"
+    write_lines(path, chain_lines(1500, 5))
+    records, _ = load_trace(path)
+    assert records[0].critical_path_us() == 7500
+
+
+def test_critical_path_rejects_cyclic_deps():
+    r = TraceRecord("j", 0, [Stage([US], deps=[1]), Stage([US], deps=[0])])
+    with pytest.raises(ValueError, match="cycle"):
+        r.critical_path_us()
+
+
+EMPTY = ()
+
+
+def reachable(objects):
+    """Every object reachable from ``objects`` through gc.get_referents,
+    not walking into types."""
+    seen = {}
+    stack = list(objects)
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen and not isinstance(obj, type):
+            seen[id(obj)] = obj
+            stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def assert_records_hold_tuples(records):
+    assert records
+    assert not [o for o in reachable(records) if type(o) is list]
+    for r in records:
+        assert type(r.stages) is tuple
+        for s in r.stages:
+            assert type(s.durations_us) is tuple
+            assert type(s.deps) is tuple
+            if not s.deps:
+                assert s.deps is EMPTY
+
+
+def test_records_are_exact_size_tuples(tmp_path):
+    path = tmp_path / "t.jsonl"
+    write_lines(path, [
+        {"id": "a", "submit_us": 0, "stages": [{"durations_us": [US]}]},
+        {"id": "b", "submit_us": 1, "stages": [
+            {"durations_us": [US, 2 * US], "deps": []},
+            {"durations_us": [US], "deps": [0]},
+            {"durations_us": [3 * US], "deps": [0, 1]}]},
+    ])
+    loaded, _ = load_trace(path)
+    assert_records_hold_tuples(loaded)
+    for model in ("lognormal", "two_class"):
+        generated = generate(SyntheticSpec(load=0.5, job_count=50, seed=1,
+                                           duration_model=model), 10)
+        assert_records_hold_tuples(generated)
+        save_trace(generated, path)
+        again, _ = load_trace(path)
+        assert_records_hold_tuples(again)
+    save_trace(loaded, path)
+    again, _ = load_trace(path)
+    assert_records_hold_tuples(again)
 
 
 def test_critical_path_spans_chained_stages():
@@ -331,3 +415,17 @@ def test_arrivals_are_nondecreasing():
 def test_spec_validation(bad):
     with pytest.raises(ValueError):
         SyntheticSpec(**bad)
+
+
+@pytest.mark.parametrize("bad, field", [
+    # _sample_tasks draws at least one task, so a lower mean is missed:
+    # 0.5 offered about twice the target load.
+    (dict(mean_tasks=0.5), "mean_tasks"),
+    (dict(mean_tasks=math.nan), "mean_tasks"),
+    (dict(duration_model="two_class", short_fraction=-0.2),
+     "short_fraction"),
+    (dict(duration_model="two_class", short_fraction=1.5), "short_fraction"),
+], ids=["half-task", "nan-tasks", "negative-fraction", "fraction-above-1"])
+def test_spec_that_cannot_meet_its_load_names_the_field(bad, field):
+    with pytest.raises(ValueError, match="^%s " % field):
+        SyntheticSpec(load=1.0, job_count=10, **bad)
