@@ -22,15 +22,17 @@ probes or adopts a fresher shared state adds its index to the ring's dirty
 set.  Both persist until the next round, so a round visits exactly the
 dirty workers.
 
-A round sends one ``rotation`` message from each dirty worker to its
-successor, in index order.  The message carries the rotated probes (the
-empty tuple for news of state alone) and the sender's shared state.  The
-successor adopts the state only if its version is newer, re-trimming its
-queue only when the queue holds probes, and then takes the probes, if
-any, through the same loop as a fresh ``probe`` message: a duplicate is
-refused by its scheduler when it requests its task, a probe that finds the
-slot idle and the queue empty reserves the slot, and the others are
-enqueued.  The sent probes are never the sender's live rotating buffer.
+A round is one engine event.  It builds a batch of hand-offs, one from
+each dirty worker in index order, each carrying the rotated probes (the
+empty tuple for news of state alone) and the sender's shared state for its
+successor.  The batch lands as one event a network delay later, and the
+round still counts one message per hand-off.  On landing, each successor
+in turn adopts the state only if its version is newer, re-trimming its
+queue only when the queue holds probes, and then takes the probes, if any,
+through the same loop as a fresh ``probe`` message: a duplicate is refused
+by its scheduler when it requests its task, a probe that finds the slot
+idle and the queue empty reserves the slot, and the others are enqueued.
+The handed-off probes are never the sender's live rotating buffer.
 """
 
 from .engine import ProtocolError
@@ -129,12 +131,7 @@ class PeacockWorker(SlotWorker):
 
     def handle(self, payload, now):
         kind = payload[0]
-        if kind == "rotation":
-            _, probes, state = payload
-            self.adopt_shared_state(state)
-            if probes:
-                self.accept(probes, now)
-        elif kind == "probe":
+        if kind == "probe":
             _, probe, state = payload
             self.adopt_shared_state(state)
             self.accept((probe,), now)
@@ -213,8 +210,14 @@ class Ring:
     index ``i`` and ``workers[(i + 1) % W]`` its successor; a round rotates
     the dirty ones, in index order.  A worker is dirty only while it holds
     rotating probes or a shared state fresher than it last sent, so each of
-    them has something to send.  A round adds its message count to
-    ``rotation_messages`` once."""
+    them has something to send.
+
+    A round is one event: its ``("round",)`` timer builds a batch of
+    (successor, probes, state) hand-offs, one per dirty worker, and
+    schedules the batch as one ``("round", batch)`` event a network delay
+    later.  It still counts one message per hand-off in both ``messages``
+    and ``rotation_messages``.  When the batch lands, each successor in
+    turn adopts the state and then takes the probes, if any."""
 
     def __init__(self, sim, workers):
         self.sim = sim
@@ -227,19 +230,31 @@ class Ring:
     def handle(self, payload, now):
         if payload[0] != "round":
             raise ProtocolError("ring: unknown payload %r" % (payload[0],))
-        workers = self.workers
-        count = len(workers)
-        dirty = self.dirty
+        if len(payload) > 1:
+            for successor, probes, state in payload[1]:
+                successor.adopt_shared_state(state)
+                if probes:
+                    successor.accept(probes, now)
+            return
         sim = self.sim
+        dirty = self.dirty
         if dirty:
-            send = sim.send
+            workers = self.workers
+            count = len(workers)
+            batch = []
             for i in sorted(dirty):
                 w = workers[i]
-                send(workers[(i + 1) % count].eid,
-                     ("rotation", w.rotate() if w.queue.rotating else (),
-                      w.known_state), now)
-            sim.counters["rotation_messages"] += len(dirty)
+                batch.append((workers[(i + 1) % count],
+                              w.rotate() if w.queue.rotating else (),
+                              w.known_state))
             dirty.clear()
+            counters = sim.counters
+            counters["messages"] += len(batch)
+            counters["rotation_messages"] += len(batch)
+            # Scheduled before the re-arm, so a batch that lands at the
+            # next round's instant is delivered before that round.
+            sim.schedule_at(now + sim.net_delay_us, self.eid,
+                            ("round", batch))
         if len(sim.records) < sim.total_jobs:
             sim.schedule_at(now + sim.config.rotation_interval_us, self.eid,
                             ("round",))

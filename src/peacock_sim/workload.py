@@ -303,10 +303,20 @@ class SyntheticSpec:
                              % (self.mean_tasks,))
         if self.duration_model not in ("lognormal", "two_class"):
             raise ValueError("unknown duration model %r" % self.duration_model)
-        if (self.duration_model == "two_class"
-                and not 0 <= self.short_fraction <= 1):
-            raise ValueError("short_fraction %r is not within [0, 1]"
-                             % (self.short_fraction,))
+        if self.duration_model == "lognormal":
+            if not self.mean_duration_us > 0:
+                raise ValueError("mean_duration_us %r is not positive"
+                                 % (self.mean_duration_us,))
+        else:
+            if not 0 <= self.short_fraction <= 1:
+                raise ValueError("short_fraction %r is not within [0, 1]"
+                                 % (self.short_fraction,))
+            # Both are task durations as they stand, so whole microseconds.
+            for name in ("short_duration_us", "long_duration_us"):
+                value = getattr(self, name)
+                if type(value) is not int or value < 1:
+                    raise ValueError("%s %r is not a positive integer"
+                                     % (name, value))
 
     @property
     def model_mean_duration_us(self):

@@ -164,7 +164,7 @@ SLOT_KINDS = {"probe", "assign", "cancel", "complete"}
 SCHEDULER_KINDS = {"job", "task_request", "task_finish"}
 ENTITY_KINDS = {
     "peacock": {
-        (WORKER, "PeacockWorker"): {"rotation", "probe", "assign", "complete"},
+        (WORKER, "PeacockWorker"): {"probe", "assign", "complete"},
         (WORKER, "Ring"): {"round"},
         (SCHEDULER, "PeacockScheduler"): SCHEDULER_KINDS | {"peer"},
     },

@@ -106,7 +106,10 @@ def test_random_scripts_match_the_reference_engine(case):
 # -- whole systems -----------------------------------------------------------
 
 @st.composite
-def tied_systems(draw):
+def tied_systems(draw, idle_gaps=False):
+    """A config and jobs whose instants tie often.  With ``idle_gaps``,
+    each job may also come many rotation intervals after the one before,
+    so the ring runs idle rounds between bursts of work."""
     interval = draw(st.sampled_from([US // 4, US // 2, US]))
     delay = draw(st.sampled_from([0, 5_000, interval // 2, interval,
                                   2 * interval]))
@@ -126,8 +129,12 @@ def tied_systems(draw):
                   schedulers=draw(st.integers(1, 3)),
                   rotation_interval_us=interval, net_delay_us=delay,
                   seed=draw(st.integers(0, 2 ** 16)))
-    jobs = [TraceRecord(i, instant(0), stages())
-            for i in range(draw(st.integers(1, 5)))]
+    jobs = []
+    gap = 0
+    for i in range(draw(st.integers(1, 5))):
+        if idle_gaps:
+            gap += draw(st.sampled_from([0, 20, 60])) * interval
+        jobs.append(TraceRecord(i, gap + instant(0), stages()))
     return config, jobs
 
 

@@ -44,16 +44,17 @@ def make_worker(schedulers=1):
 
 
 def record_rotations(ring):
-    """Log each ``rotation`` message a worker of the ring receives, as
-    (now, receiver index, probes, state), before it is handled."""
+    """Log each hand-off of a round's batch as it lands, as (now, receiver
+    index, probes, state), before it is handled."""
     log = []
-    for worker in ring.workers:
-        def recording(payload, now, index=worker.index,
-                      handle=worker.handle):
-            if payload[0] == "rotation":
-                log.append((now, index, payload[1], payload[2]))
-            return handle(payload, now)
-        worker.handle = recording
+    handle = ring.handle
+
+    def recording(payload, now):
+        if len(payload) > 1:
+            log.extend((now, successor.index, probes, state)
+                       for successor, probes, state in payload[1])
+        return handle(payload, now)
+    ring.handle = recording
     return log
 
 
@@ -145,7 +146,7 @@ def test_rotate_sends_each_jobs_probes_together_as_the_same_objects():
     ring.handle(("round",), 11 * US)
     assert worker.queue.rotating == []
     drain(sim)
-    # One rotation message, a network delay after the round.
+    # One hand-off, landing a network delay after the round.
     ((at, to, sent, carried),) = log
     assert at == 11 * US + 5_000 and to == successor.index
     assert carried is s and successor.known_state is s
@@ -198,6 +199,29 @@ def test_ring_round_sends_only_from_workers_with_probes_or_news_in_order():
             (3 * US + 5_000, 0, (), (2 * US, 0))]
 
 
+def test_ring_round_with_k_dirty_workers_is_one_event_and_k_messages():
+    sim = Simulation(SimConfig(workers=5, net_delay_us=5_000))
+    workers = [PeacockWorker(sim, i) for i in range(5)]
+    ring = Ring(sim, workers)
+    news = state(5, 100, version=(2 * US, 0))
+    for i in (0, 2, 3):
+        workers[i].adopt_shared_state(news)
+    scheduled = []
+    schedule_at = sim.schedule_at
+
+    def recording(time_us, target, payload):
+        scheduled.append((time_us, target, payload[0], len(payload)))
+        schedule_at(time_us, target, payload)
+    sim.schedule_at = recording
+    ring.handle(("round",), 3 * US)
+    # One batch of three hand-offs; no job is pending, so no re-arm.
+    assert scheduled == [(3 * US + 5_000, ring.eid, "round", 2)]
+    assert sim.counters["messages"] == sim.counters["rotation_messages"] == 3
+    assert sim.run() == 1
+    assert ring.dirty == {1, 4}
+    assert all(w.known_state is news for w in workers[1:])
+
+
 def test_probe_convoy_moves_one_worker_per_round_and_drops_one_probe():
     """Today's rotation hands a worker's whole buffer to its successor.  An
     idle successor reserves its slot for one probe and, under a quota of
@@ -242,7 +266,7 @@ def count_trims(monkeypatch):
 @pytest.mark.parametrize("version", [(2 * US, 0), (1 * US, 1)],
                          ids=["same", "older"])
 def test_rotation_with_stale_state_changes_nothing(monkeypatch, version):
-    sim, worker, sched, _ = make_worker()
+    sim, worker, sched, ring = make_worker()
     run_busy(worker, sched)
     known = state(10, 10_000, version=(2 * US, 0))
     queued = [probe("j", task=t, mu=10_000, scheduler=sched.eid)
@@ -253,17 +277,18 @@ def test_rotation_with_stale_state_changes_nothing(monkeypatch, version):
     assert len(before) == 3
     worker.dirty.clear()
     trims = count_trims(monkeypatch)
-    worker.handle(("rotation", (), state(1, 1, version=version)), 11 * US)
+    ring.handle(("round", [(worker, (), state(1, 1, version=version))]),
+                11 * US)
     assert worker.known_state is known
     assert worker.queue.entries == before and worker.queue.rotating == []
     assert trims == [] and worker.dirty == set()
 
 
 def test_fresher_state_on_empty_queue_marks_dirty_without_trim(monkeypatch):
-    sim, worker, _, _ = make_worker()
+    sim, worker, _, ring = make_worker()
     trims = count_trims(monkeypatch)
     fresh = state(5, 100, version=(3 * US, 0))
-    worker.handle(("rotation", (), fresh), 4 * US)
+    ring.handle(("round", [(worker, (), fresh)]), 4 * US)
     assert worker.known_state is fresh
     assert worker.dirty == {worker.index}
     assert trims == []

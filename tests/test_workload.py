@@ -425,7 +425,27 @@ def test_spec_validation(bad):
     (dict(duration_model="two_class", short_fraction=-0.2),
      "short_fraction"),
     (dict(duration_model="two_class", short_fraction=1.5), "short_fraction"),
-], ids=["half-task", "nan-tasks", "negative-fraction", "fraction-above-1"])
+    # A two-class duration is a task's duration as it stands, so it must
+    # be a positive integer here, before any job is built from it.
+    (dict(duration_model="two_class", short_duration_us=0),
+     "short_duration_us"),
+    (dict(duration_model="two_class", short_duration_us=-US),
+     "short_duration_us"),
+    (dict(duration_model="two_class", long_duration_us=0),
+     "long_duration_us"),
+    (dict(duration_model="two_class", long_duration_us=-US),
+     "long_duration_us"),
+    (dict(duration_model="two_class", short_duration_us=1.5 * US),
+     "short_duration_us"),
+    # The lognormal mean calibrates the arrival gap, which needs it
+    # positive.
+    (dict(mean_duration_us=0), "mean_duration_us"),
+    (dict(mean_duration_us=-US), "mean_duration_us"),
+    (dict(mean_duration_us=math.nan), "mean_duration_us"),
+], ids=["half-task", "nan-tasks", "negative-fraction", "fraction-above-1",
+        "zero-short", "negative-short", "zero-long", "negative-long",
+        "fractional-short", "zero-mean-duration", "negative-mean-duration",
+        "nan-mean-duration"])
 def test_spec_that_cannot_meet_its_load_names_the_field(bad, field):
     with pytest.raises(ValueError, match="^%s " % field):
         SyntheticSpec(load=1.0, job_count=10, **bad)
