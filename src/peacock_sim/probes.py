@@ -97,7 +97,9 @@ class WaitingQueue:
     ``entries[0]`` is the head (next to execute).  ``total_runtime_us``
     always equals the exact sum of runtime estimates over ``entries``.
     Probes evicted by quota trimming or rejected at placement move to
-    ``rotating`` and leave on the next rotation round.
+    ``rotating`` and leave on the next rotation round.  ``enqueue_all``
+    places a batch of probes, trimming after each one; ``enqueue`` is its
+    one-probe case.
     """
 
     __slots__ = ("entries", "total_runtime_us", "rotating")
@@ -111,54 +113,82 @@ class WaitingQueue:
         return len(self.entries)
 
     def enqueue(self, probe, now_us, running_remaining_us, state):
-        """Place ``probe`` by the reordering rule, then trim to quota.
+        """Place one probe: the one-probe case of ``enqueue_all``.  Returns
+        ``(outcome, evicted)``: INSERTED, or ROTATED when the probe was
+        rejected at placement, and the probes the trim moved to the
+        rotating buffer.
+        """
+        rotating = self.rotating
+        before = len(rotating)
+        rejected = self.enqueue_all((probe,), now_us, running_remaining_us,
+                                    state)
+        return ((ROTATED if rejected else INSERTED),
+                rotating[before + rejected:])
+
+    def enqueue_all(self, probes, now_us, running_remaining_us, state):
+        """Place each of ``probes`` in order by the reordering rule, and
+        after each one trim the queue as ``trim_to_quota`` does.
 
         ``running_remaining_us`` is the remaining runtime of the task
         currently running on the owning worker (0 when idle or reserved).
         The scan from the tail decides only whether the probe passes the
         entry ahead of it.  Where it stops, it is inserted if ``now + wait
         <= deadline`` or its deadline has passed, and rotated otherwise; a
-        probe that passed every entry goes to the head.  Returns
-        ``(outcome, evicted)``: INSERTED or ROTATED, and the probes the
-        trim moved to the rotating buffer.
+        probe that passed every entry goes to the head.  Returns how many
+        probes were rejected at placement.  An invalid probe raises
+        ``InvalidProbeError`` with the probes before it placed.
         """
-        if probe.runtime_us <= 0:
-            raise InvalidProbeError("probe runtime estimate must be positive")
         if running_remaining_us < 0:
             raise InvalidProbeError("running remainder cannot be negative")
-
         entries = self.entries
-        arrival_us = probe.arrival_us
-        runtime_us = probe.runtime_us
-        deadline_us = probe.deadline_us
-        wait_us = running_remaining_us + self.total_runtime_us
-        position = 0
-        for i in range(len(entries) - 1, -1, -1):
-            q = entries[i]
-            if arrival_us >= q.arrival_us:
-                # Later-scheduled probe: passes q only if it is shorter and
-                # q stays within its deadline.
-                if (runtime_us > q.runtime_us or now_us >= q.deadline_us
-                        or now_us + wait_us - q.runtime_us + runtime_us
-                        > q.deadline_us):
+        rotating = self.rotating
+        total_us = self.total_runtime_us
+        probe_quota = state.probe_quota
+        load_quota_us = state.load_quota_us
+        rejected = 0
+        for probe in probes:
+            runtime_us = probe.runtime_us
+            if runtime_us <= 0:
+                self.total_runtime_us = total_us
+                raise InvalidProbeError(
+                    "probe runtime estimate must be positive")
+            arrival_us = probe.arrival_us
+            deadline_us = probe.deadline_us
+            wait_us = running_remaining_us + total_us
+            position = 0
+            for i in range(len(entries) - 1, -1, -1):
+                q = entries[i]
+                if arrival_us >= q.arrival_us:
+                    # Later-scheduled probe: passes q only if it is shorter
+                    # and q stays within its deadline.
+                    if (runtime_us > q.runtime_us or now_us >= q.deadline_us
+                            or now_us + wait_us - q.runtime_us + runtime_us
+                            > q.deadline_us):
+                        position = i + 1
+                        break
+                elif (q.runtime_us <= runtime_us
+                      and now_us + wait_us <= deadline_us):
+                    # Earlier-scheduled probe: stops behind a q no longer
+                    # than itself while its own wait is tolerable.
                     position = i + 1
                     break
-            elif (q.runtime_us <= runtime_us
-                  and now_us + wait_us <= deadline_us):
-                # Earlier-scheduled probe: stops behind a q no longer than
-                # itself while its own wait is tolerable.
-                position = i + 1
-                break
-            wait_us -= q.runtime_us
-        if (not position or now_us + wait_us <= deadline_us
-                or deadline_us <= now_us):
-            entries.insert(position, probe)
-            self.total_runtime_us += runtime_us
-            outcome = INSERTED
-        else:
-            self.rotating.append(probe)
-            outcome = ROTATED
-        return outcome, self.trim_to_quota(state)
+                wait_us -= q.runtime_us
+            if position and now_us < deadline_us < now_us + wait_us:
+                # Stopped behind an entry with an intolerable wait and a
+                # deadline still ahead: rejected.
+                rotating.append(probe)
+                rejected += 1
+            else:
+                entries.insert(position, probe)
+                total_us += runtime_us
+            # The trim: evict tail probes while either quota is broken.
+            while entries and (len(entries) >= probe_quota
+                               or total_us >= load_quota_us):
+                q = entries.pop()
+                total_us -= q.runtime_us
+                rotating.append(q)
+        self.total_runtime_us = total_us
+        return rejected
 
     def trim_to_quota(self, state):
         """Evict tail probes while the queue exceeds either quota.

@@ -29,10 +29,14 @@ successor.  The batch lands as one event a network delay later, and the
 round still counts one message per hand-off.  On landing, each successor
 in turn adopts the state only if its version is newer, re-trimming its
 queue only when the queue holds probes, and then takes the probes, if any,
-through the same loop as a fresh ``probe`` message: a duplicate is refused
-by its scheduler when it requests its task, a probe that finds the slot
-idle and the queue empty reserves the slot, and the others are enqueued.
-The handed-off probes are never the sender's live rotating buffer.
+through ``accept`` as it takes a fresh ``probe`` message: a duplicate is
+refused by its scheduler when it requests its task, the first probe
+reserves the slot if it is idle, and the others go to the elastic queue
+in one ``WaitingQueue.enqueue_all`` call.  An idle worker never holds
+queued probes: its slot goes idle only when its queue is empty, an idle
+worker reserves for the first probe it gets, and adopting a state only
+evicts.  The handed-off probes are never the sender's live rotating
+buffer.
 """
 
 from .engine import ProtocolError
@@ -149,21 +153,22 @@ class PeacockWorker(SlotWorker):
     # -- probe handling -----------------------------------------------------
 
     def accept(self, probes, now):
-        """Take arriving probes in order.  A probe that finds the slot idle
-        and the queue empty reserves the slot; every other one is enqueued
-        under the known shared state."""
+        """Take arriving probes in order.  If the slot is idle, the queue is
+        empty too, and the first probe reserves the slot; the others go to
+        the queue in one ``enqueue_all`` call under the known shared
+        state, which places and trims them one by one."""
         queue = self.queue
-        state = self.known_state
-        idle = self.slot is None
-        # The slot's remaining runtime; reserving keeps it at 0.
-        finish_us = self.finish_us
-        delta = 0 if finish_us is None else finish_us - now
-        for probe in probes:
-            if idle and not queue.entries:
-                self._reserve(probe, now)
-                idle = False
-            else:
-                queue.enqueue(probe, now, delta, state)
+        if self.slot is None:
+            self._reserve(probes[0], now)
+            probes = probes[1:]
+            if not probes:
+                return
+            delta = 0
+        else:
+            # The slot's remaining runtime; 0 while it is reserved.
+            finish_us = self.finish_us
+            delta = 0 if finish_us is None else finish_us - now
+        queue.enqueue_all(probes, now, delta, self.known_state)
         # Evicted and rejected probes wait in the rotating buffer until the
         # next round carries them off.
         if queue.rotating:

@@ -4,7 +4,7 @@ randomized equivalence against the naive reference model."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from peacock_sim.probes import (EMPTY_STATE, INSERTED, ROTATED,
@@ -302,3 +302,71 @@ def test_determinism(seed):
     b = run_random_sequence(seed, ops=8)
     assert [p.key for p in a[0].entries] == [p.key for p in b[0].entries]
     assert [p.key for p in a[0].rotating] == [p.key for p in b[0].rotating]
+
+
+# ---------------------------------------------------------------------------
+# batch placement
+
+@st.composite
+def batch_cases(draw):
+    """A starting queue (its entries set directly, so it may already break
+    its quotas), a batch of probes, the clock, the running remainder and
+    the shared state.  Quotas are often 0 and deadlines often past."""
+    def probes(count, first_task):
+        return [Probe(job_id=draw(st.integers(0, 3)), task_id=first_task + i,
+                      arrival_us=draw(st.integers(0, 8)) * US,
+                      runtime_us=draw(st.sampled_from([1, 2, 3, 5])) * US,
+                      allowance_us=draw(st.integers(0, 12)) * US)
+                for i in range(count)]
+    start = probes(draw(st.integers(0, 6)), 0)
+    batch = probes(draw(st.integers(1, 6)), len(start))
+    state = SharedState(draw(st.integers(0, 6)),
+                        draw(st.sampled_from([0, 1, 4, 9, 30])) * US, (0, 0))
+    return (start, batch, draw(st.integers(0, 20)) * US,
+            draw(st.sampled_from([0, 1, 4])) * US, state)
+
+
+# p is longer than q, so it stops behind q, with a tolerable wait, and is
+# placed at the tail; there it makes two entries against a probe quota of
+# 2, and the trim evicts it at once.
+TAIL_INSERT_EVICTED = ([probe("q", lam=0, theta=1, mu=100)],
+                       [probe("p", lam=0, theta=2, mu=100)],
+                       0, 0, SharedState(2, 100 * US, (0, 0)))
+# The queue starts over its probe quota: the trim after the first probe
+# brings it below, before the second is placed.
+STARTS_OVER_QUOTA = ([probe("s", task=i, theta=1, mu=100) for i in range(3)],
+                     [probe("b", task=i, lam=1, theta=4, mu=100)
+                      for i in range(2)],
+                     0, 0, SharedState(2, 100 * US, (0, 0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch_cases())
+@example(TAIL_INSERT_EVICTED)
+@example(STARTS_OVER_QUOTA)
+def test_batch_matches_successive_enqueues_and_the_reference(case):
+    start, batch, now, delta, state = case
+    batched, single = queue_of(*start), queue_of(*start)
+    rejected = batched.enqueue_all(batch, now, delta, state)
+    outcomes = [single.enqueue(p, now, delta, state)[0] for p in batch]
+    ref_entries, ref_rotating = list(start), []
+    for p in batch:
+        ref_enqueue(ref_entries, ref_rotating, p, now, delta, state)
+    assert batched.entries == single.entries == ref_entries
+    assert batched.rotating == single.rotating == ref_rotating
+    assert (batched.total_runtime_us == single.total_runtime_us
+            == sum(p.runtime_us for p in ref_entries))
+    assert rejected == outcomes.count(ROTATED)
+
+
+def test_invalid_probe_mid_batch_raises_with_earlier_probes_placed():
+    a = probe("a", lam=0, theta=5, mu=100)
+    b = probe("b", lam=0, theta=3, mu=100)
+    bad = probe("bad", lam=0, theta=1, mu=100)
+    bad.runtime_us = 0
+    after = probe("after", lam=0, theta=2, mu=100)
+    real = WaitingQueue()
+    with pytest.raises(InvalidProbeError):
+        real.enqueue_all([a, b, bad, after], 0, 0, ROOMY)
+    assert real.entries == [b, a] and real.rotating == []
+    assert real.total_runtime_us == 8 * US

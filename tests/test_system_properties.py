@@ -6,11 +6,14 @@ tasks of each job as it has (its record holds one rotation count per
 launch), keep workers busy for exactly the offered work, finish no job
 faster than its critical path, raise no SimulationError or ProtocolError
 (the driver also checks quiescence before it returns), and serialize to
-the same bytes when run again.  The network delay is drawn up to the
+the same bytes when run again.  In Peacock's runs, no idle worker may
+hold queued probes after any event.  The network delay is drawn up to the
 rotation interval and is often 0 or equal to it.
 """
 
+import contextlib
 import json
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 from peacock_sim.driver import run_simulation
 from peacock_sim.engine import SimConfig
 from peacock_sim.metrics import summarize
+from peacock_sim.worker import PeacockWorker, Ring
 from peacock_sim.workload import Stage, TraceRecord
 
 US = 1_000_000
@@ -49,6 +53,32 @@ def systems(draw):
     return config, jobs
 
 
+@contextlib.contextmanager
+def idle_workers_hold_no_queue():
+    """After every event that ``PeacockWorker.handle`` or ``Ring.handle``
+    handles, the only two that change a worker's slot or queue, require
+    every Peacock worker with an idle slot to have an empty queue.
+    ``PeacockWorker.accept`` relies on this: only the first probe of a
+    batch can find the slot idle.  Yields the list of events checked."""
+    checked = []
+
+    def checking(handle):
+        def checked_handle(entity, payload, now):
+            handle(entity, payload, now)
+            for w in entity.sim.entities:
+                if isinstance(w, PeacockWorker):
+                    assert w.slot is not None or not w.queue.entries, (
+                        "idle worker %d holds %d queued probes after %r at %d"
+                        % (w.index, len(w.queue.entries), payload[0], now))
+            checked.append(payload[0])
+        return checked_handle
+
+    with mock.patch.object(PeacockWorker, "handle",
+                           checking(PeacockWorker.handle)), \
+            mock.patch.object(Ring, "handle", checking(Ring.handle)):
+        yield checked
+
+
 def serialized(result):
     report = summarize(result.records, result.counters, result.workers)
     return json.dumps({"report": report.to_dict(),
@@ -65,7 +95,12 @@ def test_tiny_systems_conserve_work_and_respect_critical_paths(system):
     paths = {j.job_id: j.critical_path_us() for j in jobs}
     task_counts = {j.job_id: j.task_count for j in jobs}
     for algo in ("peacock", "sparrow", "eagle"):
-        result = run_simulation(SimConfig(algo=algo, **config), jobs)
+        if algo == "peacock":
+            with idle_workers_hold_no_queue() as checked:
+                result = run_simulation(SimConfig(algo=algo, **config), jobs)
+            assert checked
+        else:
+            result = run_simulation(SimConfig(algo=algo, **config), jobs)
         counters = result.counters
         assert counters["tasks_launched"] == counters["tasks_finished"] \
             == tasks, algo
