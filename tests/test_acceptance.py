@@ -4,7 +4,7 @@ checked as directional trends with stated margins.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The heavy criteria
 (6-8) each run several hundred-worker simulations.  On Python 3.11 on a
-shared 2-core host this file took 19 s, 16 s of it in criterion 8.
+shared 2-core host this file took 21-23 s, 17-18 s of it in criterion 8.
 """
 
 import json

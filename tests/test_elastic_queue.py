@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from peacock_sim.probes import (EMPTY_STATE, INSERTED, ROTATED,
                                 InvalidProbeError, Probe, SharedState,
                                 WaitingQueue)
-from reference_queue import ref_enqueue
+from reference_queue import ref_enqueue, ref_trim
 
 US = 1_000_000
 
@@ -357,6 +357,21 @@ def test_batch_matches_successive_enqueues_and_the_reference(case):
     assert (batched.total_runtime_us == single.total_runtime_us
             == sum(p.runtime_us for p in ref_entries))
     assert rejected == outcomes.count(ROTATED)
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch_cases())
+@example(STARTS_OVER_QUOTA)
+def test_trim_to_quota_matches_the_reference_trim(case):
+    # enqueue_all inlines trim_to_quota's loop; the test above holds the
+    # inlined copy to the reference, and this one holds trim_to_quota.
+    start, _, _, _, state = case
+    real = queue_of(*start)
+    ref_entries, ref_rotating = list(start), []
+    evicted = real.trim_to_quota(state)
+    assert evicted == ref_trim(ref_entries, ref_rotating, state)
+    assert real.entries == ref_entries and real.rotating == ref_rotating
+    assert real.total_runtime_us == sum(p.runtime_us for p in ref_entries)
 
 
 def test_invalid_probe_mid_batch_raises_with_earlier_probes_placed():

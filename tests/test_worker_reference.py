@@ -3,12 +3,12 @@
 
 The production ``PeacockWorker.accept`` places an arriving batch with one
 ``WaitingQueue.enqueue_all`` call; the reference makes one ``enqueue``
-call per probe.  Peacock runs on tiny systems through ``driver`` with each
-worker must give the same reports, job records and counters, and must
-send every message at the same instant, to the same entity, in the same
-order and with the same fields (a probe as its key).  The systems are
-``tied_systems`` with idle gaps, so ring rounds hand batches of probes to
-idle, reserved and busy workers under changing quotas.
+call per probe.  Peacock runs on tiny systems through ``driver``, once
+with each worker, must give the same reports, job records and counters,
+and must send every message at the same instant, to the same entity, in
+the same order and with the same fields (a probe as its key).  The
+systems are ``tied_systems`` with idle gaps, so ring rounds hand batches
+of probes to idle, reserved and busy workers under changing quotas.
 """
 
 from unittest import mock
