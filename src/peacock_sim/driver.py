@@ -8,7 +8,7 @@ from .baselines import (SHORT_FRACTION, EagleCentral, EagleScheduler,
 from .engine import SimConfig, Simulation, SimulationError, derived_rng
 from .scheduler import PeacockScheduler
 from .worker import PeacockWorker, Ring
-from .workload import acyclic
+from .workload import stage_problem
 
 
 @dataclass
@@ -78,11 +78,10 @@ def run_simulation(config, records):
     before any event runs if a record's id is neither a ``str`` nor an
     ``int`` or repeats an earlier one as printed (as ``load_trace``
     compares them), if its submit time is not a non-negative ``int``, if
-    it has no stages or an empty stage, if a duration is not a positive
-    ``int``, if a dep is not an ``int`` stage index or the deps form a
-    cycle, or if ``event_cap`` is below the fewest events the workload
-    needs: one per job (its arrival), one per stage (its first probe or
-    long-stage placement) and four per task (``task_request``, ``assign``,
+    ``workload.stage_problem`` finds its stages cannot run, or if
+    ``event_cap`` is below the fewest events the workload needs: one per
+    job (its arrival), one per stage (its first probe or long-stage
+    placement) and four per task (``task_request``, ``assign``,
     ``complete`` and ``task_finish``); and after the run if it ends in a
     non-quiescent state.
     """
@@ -105,28 +104,10 @@ def run_simulation(config, records):
             raise SimulationError("job %r: id repeats an earlier one as "
                                   "printed" % (job_id,))
         printed_ids.add(printed)
-        if not stages:
-            raise SimulationError("job %r has no stages" % (job_id,))
-        n = len(stages)
-        forward = False         # a dep at or after its own stage's index
-        for stage_idx, stage in enumerate(stages):
-            durations = stage.durations_us
-            if not durations:
-                raise SimulationError("job %r has an empty stage" % (job_id,))
-            needed += 1 + 4 * len(durations)
-            for d in durations:
-                if type(d) is not int or d <= 0:
-                    raise SimulationError("job %r: duration %r is not a "
-                                          "positive integer" % (job_id, d))
-            for d in stage.deps:
-                if type(d) is not int or not 0 <= d < n:
-                    raise SimulationError("job %r: dep %r is not a stage "
-                                          "index" % (job_id, d))
-                if d >= stage_idx:
-                    forward = True
-        if forward and not acyclic(stages, [False] * n, range(n)):
-            raise SimulationError("job %r: stage deps form a cycle"
-                                  % (job_id,))
+        problem = stage_problem(stages)
+        if problem is not None:
+            raise SimulationError("job %r%s" % (job_id, problem))
+        needed += len(stages) + 4 * record.task_count
         sim.schedule_at(submit_us, schedulers[i % len(schedulers)].eid,
                         ("job", record))
     if config.event_cap < needed:

@@ -64,7 +64,7 @@ class TraceRecord:
         form a cycle."""
         stages = self.stages
         n = len(stages)
-        order = topological_order(stages, [False] * n, range(n))
+        order = topological_order(stages)
         if len(order) < n:
             raise ValueError("stage deps form a cycle")
         finish = [0] * n
@@ -86,38 +86,22 @@ def _not(kind, name, value):
 def _parse_stages(stages):
     """Build a record's stages from its decoded ``stages`` array.
 
-    Returns ``(stages, valid)``, the stages as a tuple of Stage whose
-    ``durations_us`` and ``deps`` are tuples; a stage with no deps holds
-    the shared ``()``.  A job is invalid, and pruned, if it has no
-    stages, an empty stage, a non-positive duration, a dep out of range
-    or cyclic deps.  A value of the wrong type raises TraceError, also in
-    an invalid job; a missing key raises KeyError.
-
-    This walk marks a stage once all its deps are marked; ``acyclic``
-    then checks only the stages it left unmarked.  A job whose deps all
-    point to earlier stages is fully marked here and needs no other
-    pass; deps that point forward are valid when acyclic.
+    Returns ``(stages, valid)``: a tuple of Stage whose ``durations_us``
+    and ``deps`` are tuples, a stage with no deps holding the shared
+    ``()``, and whether ``stage_problem`` passes them.  A wrong shape
+    raises TraceError and a missing key KeyError, also in a job that is
+    pruned.  An element that is not an integer is a problem too, so its
+    TraceError is looked for only in a job ``stage_problem`` rejects.
     """
     if type(stages) is not list:
         raise _not("an array", "stages", stages)
-    n = len(stages)
-    valid = n > 0
-    marked = [False] * n
-    unmarked = []
     built = []
-    for i, stage in enumerate(stages):
+    for stage in stages:
         if type(stage) is not dict:
             raise _not("an object", "stage", stage)
         durations = stage["durations_us"]
         if type(durations) is not list:
             raise _not("an array", "durations_us", durations)
-        if not durations:
-            valid = False
-        for d in durations:
-            if type(d) is not int:
-                raise _not("an integer", "duration", d)
-            if d <= 0:
-                valid = False
         deps = ()
         if "deps" in stage:
             listed = stage["deps"]
@@ -125,40 +109,62 @@ def _parse_stages(stages):
                 raise _not("an array", "deps", listed)
             if listed:
                 deps = tuple(listed)
-        ready = True
-        for d in deps:
-            if type(d) is not int:
-                raise _not("an integer", "dep", d)
-            if not 0 <= d < n:
-                valid = False
-            elif not marked[d]:
-                ready = False
-        if ready:
-            marked[i] = True
-        else:
-            unmarked.append(i)
         built.append(Stage(tuple(durations), deps))
-    return tuple(built), valid and acyclic(built, marked, unmarked)
+    built = tuple(built)
+    if stage_problem(built) is None:
+        return built, True
+    for stage in built:
+        for name, values in (("duration", stage.durations_us),
+                             ("dep", stage.deps)):
+            for v in values:
+                if type(v) is not int:
+                    raise _not("an integer", name, v)
+    return built, False
 
 
-def topological_order(stages, marked, unmarked):
-    """The stage indices of ``unmarked`` in an order where each follows
-    its deps (Kahn's algorithm), given that the stages with ``marked[i]``
-    set need no ordering.  Stages on or behind a cycle are left out.
-    Each unmarked stage counts its unmarked deps, and a stage is released
-    when its count falls to 0, so the cost is linear in stages plus
-    deps.  Deps must be in range."""
+def stage_problem(stages):
+    """None if a job's ``stages`` can run, or else the rest of an error
+    sentence that starts with the job's id (" has no stages", ": stage
+    deps form a cycle").  The one rule that ``load_trace`` prunes by and
+    ``driver.run_simulation`` raises on.  The cycle check runs only when
+    a dep points at or after its own stage."""
+    if not stages:
+        return " has no stages"
+    n = len(stages)
+    forward = False
+    for i, stage in enumerate(stages):
+        durations = stage.durations_us
+        if not durations:
+            return " has an empty stage"
+        for d in durations:
+            if type(d) is not int or d <= 0:
+                return ": duration %r is not a positive integer" % (d,)
+        for d in stage.deps:
+            if type(d) is not int or not 0 <= d < n:
+                return ": dep %r is not a stage index" % (d,)
+            if d >= i:
+                forward = True
+    if forward and len(topological_order(stages)) < n:
+        return ": stage deps form a cycle"
+    return None
+
+
+def topological_order(stages):
+    """The indices of ``stages`` in an order where each follows its deps
+    (Kahn's algorithm).  Stages on or behind a cycle are left out, so the
+    order is shorter than ``stages`` exactly when the deps form a cycle.
+    Each stage counts its deps, a repeated dep once per listing, and is
+    released when its count falls to 0, so the cost is linear in stages
+    plus deps.  Deps must be in range."""
     waiting = {}
     dependents = {}
     order = []
-    for i in unmarked:
-        count = 0
-        for d in stages[i].deps:
-            if not marked[d]:
-                count += 1
+    for i, stage in enumerate(stages):
+        deps = stage.deps
+        if deps:
+            waiting[i] = len(deps)
+            for d in deps:
                 dependents.setdefault(d, []).append(i)
-        if count:
-            waiting[i] = count
         else:
             order.append(i)
     for i in order:             # grows as stages are released
@@ -167,16 +173,6 @@ def topological_order(stages, marked, unmarked):
             if not waiting[j]:
                 order.append(j)
     return order
-
-
-def acyclic(stages, marked, unmarked):
-    """Whether in-range deps form no cycle, given that the stages with
-    ``marked[i]`` set are on none and ``unmarked`` lists the others.
-    Pass ``[False] * len(stages)`` and every index to check from
-    scratch."""
-    return (not unmarked
-            or len(topological_order(stages, marked, unmarked))
-            == len(unmarked))
 
 
 def load_trace(path):
@@ -298,15 +294,18 @@ class SyntheticSpec:
         if self.job_count < 1:
             raise ValueError("need at least one job")
         # A job has at least one task, so a lower mean would be missed.
-        if not self.mean_tasks >= 1:
-            raise ValueError("mean_tasks %r is not at least 1"
+        if not 1 <= self.mean_tasks < math.inf:
+            raise ValueError("mean_tasks %r is not finite and at least 1"
                              % (self.mean_tasks,))
         if self.duration_model not in ("lognormal", "two_class"):
             raise ValueError("unknown duration model %r" % self.duration_model)
         if self.duration_model == "lognormal":
-            if not self.mean_duration_us > 0:
-                raise ValueError("mean_duration_us %r is not positive"
-                                 % (self.mean_duration_us,))
+            if not 0 < self.mean_duration_us < math.inf:
+                raise ValueError("mean_duration_us %r is not positive and "
+                                 "finite" % (self.mean_duration_us,))
+            if not 0 <= self.sigma < math.inf:
+                raise ValueError("sigma %r is not finite and at least 0"
+                                 % (self.sigma,))
         else:
             if not 0 <= self.short_fraction <= 1:
                 raise ValueError("short_fraction %r is not within [0, 1]"

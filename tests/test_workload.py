@@ -6,15 +6,18 @@ import graphlib
 import gzip
 import json
 import math
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peacock_sim import driver
+from peacock_sim.engine import SimConfig, Simulation, SimulationError
 from peacock_sim.workload import (SCHEMA, LoadError, Stage, SyntheticSpec,
                                   TraceError, TraceRecord, generate,
                                   load_trace, mean_interarrival_us,
-                                  save_trace)
+                                  save_trace, stage_problem)
 
 US = 1_000_000
 
@@ -66,8 +69,8 @@ def test_invalid_jobs_are_pruned_not_fatal(tmp_path):
                     {"durations_us": [US], "deps": [3]},
                     {"durations_us": [US], "deps": [1]},
                     {"durations_us": [US], "deps": [2]}]},
-        # Deps may point forward when they form no cycle.  Sweeping in
-        # index order marks one stage of "reversed" per sweep.
+        # Deps may point forward when they form no cycle, even when
+        # every stage but the last waits on a later one.
         {"id": "forward", "submit_us": 0,
          "stages": [{"durations_us": [US], "deps": [1]},
                     {"durations_us": [2 * US]}]},
@@ -182,20 +185,24 @@ def test_jobs_are_pruned_exactly_when_graphlib_finds_a_cycle(
     ({"stages": [{"durations_us": [US]}]}, '^line 2: missing "id"$'),
     ({"id": "b", "stages": [{"deps": []}]},
      '^line 2: missing "durations_us"$'),
-    # A wrong type is fatal even in a job that would be pruned.
+    # A wrong type is fatal even in a job that would be pruned.  Every
+    # shape in a line is checked before any element's type.
     ({"id": "b", "stages": [{"durations_us": [0]},
                             {"durations_us": [US], "deps": ""}]},
      '^line 2: deps "" is not an array$'),
     ({"id": "b", "stages": [{"durations_us": [US], "deps": [0]},
                             {"durations_us": [True]}]},
      "^line 2: duration true is not an integer$"),
+    ({"id": "b", "stages": [{"durations_us": [True]},
+                            {"durations_us": [US], "deps": ""}]},
+     '^line 2: deps "" is not an array$'),
 ], ids=["float-duration", "bool-duration", "string-duration", "string-dep",
         "float-submit", "negative-submit", "list-id", "not-an-object",
         "null-id", "float-id", "bool-id", "string-deps", "object-deps",
         "null-deps", "string-durations", "object-durations",
         "string-stages", "object-stages", "array-stage", "missing-stages",
         "missing-id", "missing-durations", "bad-deps-in-invalid-job",
-        "bad-duration-in-cyclic-job"])
+        "bad-duration-in-cyclic-job", "bad-deps-after-bad-duration"])
 def test_bad_values_are_fatal_with_line_number(tmp_path, bad, message):
     path = tmp_path / "t.jsonl"
     write_lines(path, [{"id": "a", "stages": [{"durations_us": [US]}]}, bad])
@@ -241,13 +248,108 @@ def chain_lines(n, duration_us):
 
 
 def test_forward_chain_of_5000_stages_is_valid(tmp_path):
-    # Each stage's only dep points forward, so the parse walk marks just
-    # the last stage and the cycle check must release the rest in one pass.
+    # Each stage's only dep points forward, so the cycle check runs and
+    # must release all 5,000 stages in one linear pass.
     path = tmp_path / "chain.jsonl"
     write_lines(path, chain_lines(5000, 5))
     records, dropped = load_trace(path)
     assert dropped == 0
     assert len(records[0].stages) == 5000
+
+
+def test_stage_problem_of_a_long_chain_needs_no_recursion():
+    # 5,000 stages is far past the default recursion limit of 1,000.
+    stages = [Stage(s["durations_us"], s["deps"])
+              for s in chain_lines(5000, US)[0]["stages"]]
+    assert stage_problem(stages) is None
+    stages[-1] = Stage([US], [0])
+    assert stage_problem(stages) == ": stage deps form a cycle"
+
+
+def test_stage_problem_counts_a_repeated_dep_once_per_listing():
+    # JobState.remaining_deps counts [0, 0] as two deps, and finishing
+    # stage 0 releases both, so such a job can run.
+    assert stage_problem([Stage([US]), Stage([US], [0, 0])]) is None
+    assert stage_problem([Stage([US], [1, 1]), Stage([US])]) is None
+    assert stage_problem([Stage([US], [1, 1]), Stage([US], [0])]) == \
+        ": stage deps form a cycle"
+
+
+FLAWS = ["no stages", "empty stage", "zero duration", "negative duration",
+         "dep out of range"]
+
+
+@st.composite
+def flawed_dag_lines(draw):
+    """Lines like ``dag_lines``'s, each with up to two flaws that break
+    the rule for a runnable job, besides the cycles they draw anyway."""
+    lines = []
+    for i in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 6))
+        stages = []
+        for _ in range(n):
+            stage = {"durations_us": draw(st.lists(st.integers(1, 5 * US),
+                                                   min_size=1, max_size=3))}
+            deps = draw(st.none() | st.lists(st.integers(0, n - 1),
+                                             max_size=3))
+            if deps is not None:
+                stage["deps"] = deps
+            stages.append(stage)
+        for flaw in draw(st.lists(st.sampled_from(FLAWS), max_size=2)):
+            if flaw == "no stages":
+                stages = []
+            if not stages:
+                continue
+            stage = stages[draw(st.integers(0, n - 1))]
+            durations = stage["durations_us"]
+            if flaw == "empty stage":
+                durations.clear()
+            elif flaw == "dep out of range":
+                stage.setdefault("deps", []).append(
+                    draw(st.sampled_from([-1, n, n + 3])))
+            else:
+                bad = 0 if flaw == "zero duration" else draw(
+                    st.integers(-5 * US, -1))
+                durations.insert(draw(st.integers(0, len(durations))), bad)
+        lines.append({"id": "j%d" % i, "submit_us": 0, "stages": stages})
+    return lines
+
+
+def runnable(stages):
+    """README's rule for a job that can run, on its decoded stages."""
+    n = len(stages)
+    return (n > 0
+            and all(s["durations_us"] and min(s["durations_us"]) > 0
+                    for s in stages)
+            and all(0 <= d < n for s in stages for d in s.get("deps", ()))
+            and not is_cyclic(stages))
+
+
+class Started(Exception):
+    """Raised in place of ``Simulation.run``: the driver accepted a job."""
+
+
+@settings(max_examples=200, deadline=None)
+@given(flawed_dag_lines())
+def test_trace_loader_and_driver_apply_one_rule(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "flawed.jsonl"
+    write_lines(path, lines)
+    records, dropped = load_trace(path)
+    kept = {r.job_id for r in records}
+    assert dropped == len(lines) - len(kept)
+    for line in lines:
+        job_id = line["id"]
+        stages = [Stage(s["durations_us"], s.get("deps", []))
+                  for s in line["stages"]]
+        problem = stage_problem(stages)
+        with patch.object(Simulation, "run", side_effect=Started):
+            with pytest.raises((Started, SimulationError)) as err:
+                driver.run_simulation(SimConfig(workers=2, seed=1),
+                                      [TraceRecord(job_id, 0, stages)])
+        assert (job_id in kept) == (err.type is Started) == \
+            (problem is None) == runnable(line["stages"])
+        if problem is not None:
+            assert str(err.value) == "job %r%s" % (job_id, problem)
 
 
 def test_critical_path_of_a_long_chain_needs_no_recursion(tmp_path):
@@ -442,10 +544,18 @@ def test_spec_validation(bad):
     (dict(mean_duration_us=0), "mean_duration_us"),
     (dict(mean_duration_us=-US), "mean_duration_us"),
     (dict(mean_duration_us=math.nan), "mean_duration_us"),
+    # An infinite mean would otherwise be blamed on the load.
+    (dict(mean_tasks=math.inf), "mean_tasks"),
+    (dict(mean_duration_us=math.inf), "mean_duration_us"),
+    # sigma is a standard deviation, so finite and not negative.
+    (dict(sigma=math.nan), "sigma"),
+    (dict(sigma=math.inf), "sigma"),
+    (dict(sigma=-1.0), "sigma"),
 ], ids=["half-task", "nan-tasks", "negative-fraction", "fraction-above-1",
         "zero-short", "negative-short", "zero-long", "negative-long",
         "fractional-short", "zero-mean-duration", "negative-mean-duration",
-        "nan-mean-duration"])
+        "nan-mean-duration", "infinite-tasks", "infinite-mean-duration",
+        "nan-sigma", "infinite-sigma", "negative-sigma"])
 def test_spec_that_cannot_meet_its_load_names_the_field(bad, field):
     with pytest.raises(ValueError, match="^%s " % field):
         SyntheticSpec(load=1.0, job_count=10, **bad)
