@@ -1,7 +1,9 @@
 """Sparrow and Eagle baselines on the slot machine (``worker.SlotWorker``)
 and scheduler protocol (``scheduler.Scheduler``) that Peacock also runs.
-Both bind late: a probe that reaches a slot takes whichever task of its
-stage is still unlaunched, and the scheduler cancels surplus probes.
+Both bind late: their probes carry no task (``task_id`` None), so the
+shared ``Scheduler.on_task_request`` gives a probe that reaches a slot the
+first unlaunched task of its stage and cancels surplus probes.  Neither
+scheduler adds a binding rule of its own.
 
 Sparrow: batch sampling (PROBE_RATIO probes per task to random workers)
 and a FIFO worker queue.
@@ -9,7 +11,8 @@ and a FIFO worker queue.
 Eagle: a static long/short job split.  A stage whose mean task estimate
 is above LONG_CUTOFF_US is long.  A centralized placer puts each long
 task on the least-loaded worker of the general partition (lowest eid on
-ties), kept in a heap of (load, eid); the task is bound to its probe.
+ties), kept in a heap of (load, eid); the placer binds each long probe to
+its task, so long probes are the only Eagle probes with a ``task_id``.
 Short stages are sampled as in Sparrow, a short probe landing on a worker
 with long work is re-sampled once into the short-only partition (the
 first SHORT_FRACTION of the workers), and worker queues reorder
@@ -179,20 +182,11 @@ class SparrowScheduler(Scheduler):
         targets = pick_workers(self.rng, len(worker_eids), count)
         self.sim.counters["probes_created"] += count
         # Probe((job, stage), task, arrival, runtime estimate, allowance,
-        # scheduler); the task is None, since bind picks it at the slot.
+        # scheduler); the task is None, picked when the probe reaches a slot.
         send = self.sim.send
         for w in targets:
             send(worker_eids[w], ("probe", Probe(job_key, None, now, theta, 0,
                                                  eid)), now)
-
-    def bind(self, job, stage_idx, probe):
-        if job is None:
-            return None                     # the job has finished
-        task_id = job.pool_next[stage_idx]
-        if task_id >= len(job.record.stages[stage_idx].durations_us):
-            return None
-        job.pool_next[stage_idx] += 1
-        return task_id
 
 
 class EagleScheduler(SparrowScheduler):
@@ -212,8 +206,3 @@ class EagleScheduler(SparrowScheduler):
                            theta, self.eid), now)
         else:
             super().submit_stage(job, stage_idx, now)
-
-    def bind(self, job, stage_idx, probe):
-        if probe.runtime_us > LONG_CUTOFF_US:
-            return probe.task_id            # placed centrally, bound already
-        return super().bind(job, stage_idx, probe)

@@ -8,7 +8,7 @@ from .baselines import (SHORT_FRACTION, EagleCentral, EagleScheduler,
 from .engine import SimConfig, Simulation, SimulationError, derived_rng
 from .scheduler import PeacockScheduler
 from .worker import PeacockWorker, Ring
-from .workload import stage_problem
+from .workload import id_problem, stage_problem
 
 
 @dataclass
@@ -75,9 +75,8 @@ def run_simulation(config, records):
     """Run one algorithm over a workload; returns a RunResult.
 
     Jobs are assigned to schedulers round-robin.  Raises SimulationError
-    before any event runs if a record's id is neither a ``str`` nor an
-    ``int`` or repeats an earlier one as printed (as ``load_trace``
-    compares them), if its submit time is not a non-negative ``int``, if
+    before any event runs if ``workload.id_problem`` rejects a record's
+    id, if its submit time is not a non-negative ``int``, if
     ``workload.stage_problem`` finds its stages cannot run, or if
     ``event_cap`` is below the fewest events the workload needs: one per
     job (its arrival), one per stage (its first probe or long-stage
@@ -93,17 +92,12 @@ def run_simulation(config, records):
     for i, record in enumerate(records):
         job_id, submit_us = record.job_id, record.submit_us
         stages = record.stages
-        if type(job_id) is not str and type(job_id) is not int:
-            raise SimulationError("job %r: id is not a string or an integer"
-                                  % (job_id,))
+        problem = id_problem(job_id, printed_ids)
+        if problem is not None:
+            raise SimulationError(problem)
         if type(submit_us) is not int or submit_us < 0:
             raise SimulationError("job %r: submit time %r is not a "
                                   "non-negative integer" % (job_id, submit_us))
-        printed = str(job_id)
-        if printed in printed_ids:
-            raise SimulationError("job %r: id repeats an earlier one as "
-                                  "printed" % (job_id,))
-        printed_ids.add(printed)
         problem = stage_problem(stages)
         if problem is not None:
             raise SimulationError("job %r%s" % (job_id, problem))

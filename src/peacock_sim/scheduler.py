@@ -2,12 +2,16 @@
 
 Every algorithm's scheduler runs one protocol, kept once in ``Scheduler``:
 it admits a job's dependency-free stages on ``job``; on ``task_request``
-it binds the requesting probe to a task and sends ``assign``, or
-``cancel`` when the probe's stage has no task left; on ``task_finish`` it
-admits the stages that became ready and, after the job's last task,
-records the job and frees its state.  Each stage of a job DAG is scheduled
-as an independent unit.  Each algorithm adds only where a stage's probes go
-and how a probe is bound to its task.
+it launches the probe's task with ``assign``, or sends ``cancel`` when it
+has none; on ``task_finish`` it admits the stages that became ready and,
+after the job's last task, records the job and frees its state.  Each
+stage of a job DAG is scheduled as an independent unit.  Each algorithm
+adds only where a stage's probes go.
+
+A probe's ``task_id`` says how it is bound.  A probe bound at admission
+(Peacock's, and Eagle's centrally placed long ones) launches that task.
+A late-binding one (None) takes its stage's first unlaunched task, and
+is cancelled once every task has launched or the job has finished.
 
 A scheduler's ``jobs`` holds the jobs in flight, each with its
 ``JobState``, and None for a job that has finished.  So its memory follows
@@ -66,7 +70,7 @@ class JobState:
     running, 2 finished."""
 
     __slots__ = ("record", "result", "thetas", "stage_remaining",
-                 "remaining_deps", "dependents", "launched", "pool_next")
+                 "remaining_deps", "dependents", "launched")
 
     def __init__(self, record, result):
         self.record = record
@@ -80,8 +84,6 @@ class JobState:
                 self.dependents[d].append(i)
         self.launched = [bytearray(len(s.durations_us))
                          for s in record.stages]
-        # Late-binding task pool cursor per stage (baselines only).
-        self.pool_next = [0] * len(record.stages)
 
     def task_finished(self, stage_idx, task_id, finish_us):
         """Record one task completion, exactly once per launched task;
@@ -113,8 +115,8 @@ class JobState:
 class Scheduler:
     """The protocol shared by every algorithm.  Subclasses define
     ``submit_stage``, which sends a stage's probes, and may override
-    ``bind``, ``release`` and ``assignment``.  Each of ``worker_eids`` is
-    checked here, so a bad one fails at wiring, before any event runs."""
+    ``release`` and ``assignment``.  Each of ``worker_eids`` is checked
+    here, so a bad one fails at wiring, before any event runs."""
 
     def __init__(self, sim, sid, worker_eids, rng):
         self.sim = sim
@@ -155,12 +157,15 @@ class Scheduler:
         job = self.jobs.get(job_id, _UNSEEN)
         if job is _UNSEEN:
             raise ProtocolError("task request for unknown job %r" % (job_id,))
-        task_id = self.bind(job, stage_idx, probe)
+        task_id = probe.task_id
         if task_id is None:
-            self.sim.counters["probes_cancelled"] += 1
-            self.sim.send(worker_eid, ("cancel", probe), now)
-            return
-        if job is None or job.launched[stage_idx][task_id]:
+            # Late binding: the stage's first unlaunched task, if any.
+            task_id = -1 if job is None else job.launched[stage_idx].find(0)
+            if task_id < 0:
+                self.sim.counters["probes_cancelled"] += 1
+                self.sim.send(worker_eid, ("cancel", probe), now)
+                return
+        elif job is None or job.launched[stage_idx][task_id]:
             raise ProtocolError("task %r of job %r already launched"
                                 % ((stage_idx, task_id), job_id))
         job.launched[stage_idx][task_id] = 1
@@ -169,12 +174,6 @@ class Scheduler:
         duration = job.record.stages[stage_idx].durations_us[task_id]
         self.sim.send(worker_eid,
                       self.assignment(probe, task_id, duration, now), now)
-
-    def bind(self, job, stage_idx, probe):
-        """The task ``probe`` launches, or None to cancel it; by default
-        the task it was bound to at admission.  ``job`` is None once the
-        job has finished."""
-        return probe.task_id
 
     def assignment(self, probe, task_id, duration_us, now):
         """The ``assign`` payload that launches ``task_id`` for ``probe``."""

@@ -17,6 +17,7 @@ import gzip
 import json
 import math
 import random
+import sys
 import zlib
 from dataclasses import dataclass
 
@@ -149,6 +150,19 @@ def stage_problem(stages):
     return None
 
 
+def id_problem(job_id, printed_ids):
+    """None after adding ``job_id`` as printed to ``printed_ids``, or the
+    error if it cannot name a new job; 1 and "1" name the same one.  The
+    one id rule of ``load_trace`` and ``driver.run_simulation``."""
+    if type(job_id) is not str and type(job_id) is not int:
+        return "job id %r is not a string or an integer" % (job_id,)
+    printed = str(job_id)
+    if printed in printed_ids:
+        return "duplicate job id %r" % (job_id,)
+    printed_ids.add(printed)
+    return None
+
+
 def topological_order(stages):
     """The indices of ``stages`` in an order where each follows its deps
     (Kahn's algorithm).  Stages on or behind a cycle are left out, so the
@@ -196,7 +210,7 @@ def _parse_lines(lines):
     """``load_trace`` on the lines of an open trace file."""
     records = []
     dropped = 0
-    seen_ids = set()
+    printed_ids = set()
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -219,22 +233,13 @@ def _parse_lines(lines):
                              % (lineno, json.dumps(exc.args[0]))) from None
         except TraceError as exc:
             raise TraceError("line %d: %s" % (lineno, exc)) from None
-        # Ids are compared as printed: 1 and "1" name the same job.
-        if type(job_id) is str:
-            printed = job_id
-        elif type(job_id) is int:
-            printed = str(job_id)
-        else:
-            raise TraceError("line %d: job id %r is not a string or an "
-                             "integer" % (lineno, job_id))
-        if printed in seen_ids:
-            raise TraceError("line %d: duplicate job id %r"
-                             % (lineno, job_id))
+        problem = id_problem(job_id, printed_ids)
+        if problem is not None:
+            raise TraceError("line %d: %s" % (lineno, problem))
         submit = obj.get("submit_us")
         if submit is not None and (type(submit) is not int or submit < 0):
             raise TraceError("line %d: submit_us %r is not a non-negative "
                              "integer" % (lineno, submit))
-        seen_ids.add(printed)
         if valid:
             records.append(TraceRecord(job_id, submit, stages))
         else:
@@ -303,9 +308,11 @@ class SyntheticSpec:
             if not 0 < self.mean_duration_us < math.inf:
                 raise ValueError("mean_duration_us %r is not positive and "
                                  "finite" % (self.mean_duration_us,))
-            if not 0 <= self.sigma < math.inf:
-                raise ValueError("sigma %r is not finite and at least 0"
-                                 % (self.sigma,))
+            # _sample_durations takes sigma ** 2 as a float.
+            if not (0 <= self.sigma
+                    and self.sigma * self.sigma <= sys.float_info.max):
+                raise ValueError("sigma %r is not at least 0 with a finite "
+                                 "square" % (self.sigma,))
         else:
             if not 0 <= self.short_fraction <= 1:
                 raise ValueError("short_fraction %r is not within [0, 1]"

@@ -129,11 +129,11 @@ def test_sparrow_worker_queue_is_fifo():
     sim = Simulation(SimConfig(workers=1, algo="sparrow", net_delay_us=0))
     sched = Recorder(sim)
     w = SparrowWorker(sim, 0)
-    first = probe(("a", 0), ("probe", 0), 5, scheduler=sched.eid)
+    first = probe(("a", 0), None, 5, scheduler=sched.eid)
     w.handle(("probe", first), 0)
     assert w.slot is first and w.finish_us is None
-    later = [probe(("b", 0), ("probe", i), 1, scheduler=sched.eid)
-             for i in range(3)]
+    later = [probe(("b", 0), None, 1, scheduler=sched.eid)
+             for _ in range(3)]
     for i, p in enumerate(later):
         w.handle(("probe", p), i + 1)
     assert list(w.queue) == later          # shorter probes do not jump ahead
@@ -166,7 +166,7 @@ def test_eagle_short_probe_resamples_off_long_work():
     sim, w, sched, short_stub = make_eagle_worker()
     w.handle(("probe", probe(("L", 0), 0, 100, scheduler=sched.eid)), 0)
     assert w.long_count == 1
-    p = probe(("s", 0), ("probe", 0), 2, scheduler=sched.eid)
+    p = probe(("s", 0), None, 2, scheduler=sched.eid)
     w.handle(("probe", p), 1)
     sim.run()
     forwarded = [m for _, m in short_stub.inbox if m[0] == "probe"]
@@ -177,7 +177,7 @@ def test_eagle_short_probe_resamples_off_long_work():
 def test_eagle_resample_happens_at_most_once():
     sim, w, sched, short_stub = make_eagle_worker()
     w.handle(("probe", probe(("L", 0), 0, 100, scheduler=sched.eid)), 0)
-    p = probe(("s", 0), ("probe", 0), 2, scheduler=sched.eid)
+    p = probe(("s", 0), None, 2, scheduler=sched.eid)
     p.resampled = True
     w.handle(("probe", p), 1)
     assert short_stub.inbox == []          # stays despite the long work
@@ -193,11 +193,11 @@ def test_eagle_long_probe_on_short_partition_is_protocol_violation():
 def test_eagle_queue_orders_shortest_first():
     sim, w, sched, _ = make_eagle_worker()
     w.slot, w.finish_us = probe(("r", 0), 0, 1, scheduler=sched.eid), 10 * US
-    w.handle(("probe", probe(("a", 0), ("probe", 0), 3,
+    w.handle(("probe", probe(("a", 0), None, 3,
                              scheduler=sched.eid)), 0)
-    w.handle(("probe", probe(("b", 0), ("probe", 0), 1,
+    w.handle(("probe", probe(("b", 0), None, 1,
                              scheduler=sched.eid)), 1)
-    w.handle(("probe", probe(("c", 0), ("probe", 0), 2,
+    w.handle(("probe", probe(("c", 0), None, 2,
                              scheduler=sched.eid)), 2)
     assert [p.runtime_us for p in w.queue] == [1 * US, 2 * US, 3 * US]
 
@@ -205,10 +205,10 @@ def test_eagle_queue_orders_shortest_first():
 def test_eagle_starvation_bound_blocks_bypass():
     sim, w, sched, _ = make_eagle_worker()
     w.slot, w.finish_us = probe(("r", 0), 0, 1, scheduler=sched.eid), 10 * US
-    w.handle(("probe", probe(("old", 0), ("probe", 0), 3,
+    w.handle(("probe", probe(("old", 0), None, 3,
                              scheduler=sched.eid)), 0)
     # 6s later the old probe has aged past the 5 s bound: no more bypassing.
-    w.handle(("probe", probe(("new", 0), ("probe", 0), 1,
+    w.handle(("probe", probe(("new", 0), None, 1,
                              scheduler=sched.eid)), 6 * US)
     assert [p.job_id[0] for p in w.queue] == ["old", "new"]
 

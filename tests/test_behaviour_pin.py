@@ -216,7 +216,7 @@ def test_entity_state_attributes_are_pinned(algo):
 def test_job_state_slots_are_pinned():
     assert JobState.__slots__ == (
         "record", "result", "thetas", "stage_remaining", "remaining_deps",
-        "dependents", "launched", "pool_next")
+        "dependents", "launched")
 
 
 def test_probe_slots_are_pinned():

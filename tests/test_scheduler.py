@@ -302,6 +302,42 @@ def test_job_completion_emits_record_once():
     assert sorted(rec.rotations) == [0, 0]
 
 
+@pytest.mark.parametrize("algo", ["sparrow", "eagle"])
+def test_late_binding_takes_the_first_unlaunched_task(algo):
+    # A live job's three-task stage has six unbound probes.  Requests take
+    # tasks 0, 1 and 2 in request order, not in the order the probes were
+    # made, and task 0's finish between them is not handed out again; a
+    # fourth request is cancelled while the job still runs.  An Eagle
+    # stage of 1 s tasks is short, so it is sampled as in Sparrow.
+    sim = Simulation(SimConfig(workers=6, algo=algo))
+    recorders = [Recorder(sim) for _ in range(6)]
+    eids = [r.eid for r in recorders]
+    rng = derived_rng(3, "sched", 0)
+    sched = (SparrowScheduler(sim, 0, eids, rng) if algo == "sparrow"
+             else EagleScheduler(sim, 0, eids, rng, Recorder(sim).eid))
+    sched.on_job_arrival(job("j", [1, 1, 1]), now=0)
+    sim.run()
+    probes = [(r.eid, m[1]) for r in recorders for _, m in r.inbox
+              if m[0] == "probe"]
+    assert len(probes) == 6
+    assert all(p.task_id is None for _, p in probes)
+    probes.reverse()
+    for task_id, (eid, p) in enumerate(probes[:3]):
+        sched.handle(("task_request", p, eid), sim.now)
+        sim.run()
+        assert sim.entities[eid].inbox[-1][1] == ("assign", p, task_id, US)
+        if task_id == 0:
+            sched.handle(("task_finish", ("j", 0), 0, sim.now), sim.now)
+    assert sched.jobs["j"].launched[0] == bytearray([2, 1, 1])
+    eid, fourth = probes[3]
+    cancelled = sim.counters["probes_cancelled"]
+    sched.handle(("task_request", fourth, eid), sim.now)
+    assert sim.counters["probes_cancelled"] == cancelled + 1
+    sim.run()
+    assert sim.entities[eid].inbox[-1][1] == ("cancel", fourth)
+    assert sched.jobs["j"] is not None
+
+
 # -- finished jobs -----------------------------------------------------------
 
 def complete_one_task_job(algo, duration_s):

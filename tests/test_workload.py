@@ -551,11 +551,13 @@ def test_spec_validation(bad):
     (dict(sigma=math.nan), "sigma"),
     (dict(sigma=math.inf), "sigma"),
     (dict(sigma=-1.0), "sigma"),
+    # Finite, but its square, which the duration sampler takes, is not.
+    (dict(sigma=1e200), "sigma"),
 ], ids=["half-task", "nan-tasks", "negative-fraction", "fraction-above-1",
         "zero-short", "negative-short", "zero-long", "negative-long",
         "fractional-short", "zero-mean-duration", "negative-mean-duration",
         "nan-mean-duration", "infinite-tasks", "infinite-mean-duration",
-        "nan-sigma", "infinite-sigma", "negative-sigma"])
+        "nan-sigma", "infinite-sigma", "negative-sigma", "huge-sigma"])
 def test_spec_that_cannot_meet_its_load_names_the_field(bad, field):
     with pytest.raises(ValueError, match="^%s " % field):
         SyntheticSpec(load=1.0, job_count=10, **bad)
