@@ -47,7 +47,7 @@ class SparrowWorker(SlotWorker):
         self.queue = deque()
 
     def on_probe_arrival(self, probe, now):
-        if self.slot is None and not self.queue:
+        if self.slot is None:
             self._reserve(probe, now)
         else:
             self.queue.append(probe)
@@ -90,7 +90,7 @@ class EagleWorker(SlotWorker):
             target = self.rng.choice(self.short_worker_eids)
             self.sim.send(target, ("probe", probe), now)
             return
-        if self.slot is None and not self.queue:
+        if self.slot is None:
             self._reserve(probe, now)
             return
         probe.enqueued_us = now

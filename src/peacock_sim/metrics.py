@@ -57,8 +57,6 @@ def percentile(sorted_values, q):
     """Linear-interpolation percentile of a pre-sorted list, q in [0, 100]."""
     if not sorted_values:
         raise ValueError("empty sample")
-    if len(sorted_values) == 1:
-        return sorted_values[0]
     rank = q / 100.0 * (len(sorted_values) - 1)
     lo = int(rank)
     hi = min(lo + 1, len(sorted_values) - 1)
@@ -91,13 +89,12 @@ def summarize(records, counters, workers):
 
     hop_total = sum(sum(r.rotations) for r in records)
     probe_total = sum(len(r.rotations) for r in records)
-    task_total = counters.get("tasks_finished", probe_total) or probe_total
+    task_total = counters["tasks_finished"]
     per_probe = hop_total / probe_total if probe_total else 0.0
     per_task = hop_total / task_total if task_total else 0.0
 
     end_us = max(r.completion_us for r in records)
-    busy_us = counters.get("busy_us", 0)
-    util = busy_us / (workers * end_us) if end_us else 0.0
+    util = counters["busy_us"] / (workers * end_us) if end_us else 0.0
 
     return Report(jobs=len(records), ajct_s=ajct, percentiles_s=pcts,
                   cdf=cdf, mean_rotations_per_probe=per_probe,

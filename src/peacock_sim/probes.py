@@ -48,8 +48,8 @@ class Probe:
     whose scheduler picks the task when the probe reaches a slot.
     ``arrival_us`` (job arrival), ``runtime_us`` (runtime estimate) and
     ``allowance_us`` (waiting-time allowance, frozen at admission) never
-    change after creation, so ``deadline_us`` is computed once; ``key``
-    is derived from ``job_id`` and ``task_id`` when read.  ``rotations``
+    change after creation, so ``deadline_us`` is computed once and only
+    ``__init__`` checks that ``runtime_us`` is positive.  ``rotations``
     counts ring hops.
     """
 
@@ -76,10 +76,6 @@ class Probe:
         # Eagle-only bookkeeping (re-sampling, SRPT ordering).
         self.resampled = False
         self.enqueued_us = 0
-
-    @property
-    def key(self):
-        return (self.job_id, self.task_id)
 
     def __repr__(self):
         return ("Probe(job=%r, task=%r, arr=%d, rt=%d, allow=%d, rot=%d)"
@@ -135,8 +131,7 @@ class WaitingQueue:
         entry ahead of it.  Where it stops, it is inserted if ``now + wait
         <= deadline`` or its deadline has passed, and rotated otherwise; a
         probe that passed every entry goes to the head.  Returns how many
-        probes were rejected at placement.  An invalid probe raises
-        ``InvalidProbeError`` with the probes before it placed.
+        probes were rejected at placement.
         """
         if running_remaining_us < 0:
             raise InvalidProbeError("running remainder cannot be negative")
@@ -148,10 +143,6 @@ class WaitingQueue:
         rejected = 0
         for probe in probes:
             runtime_us = probe.runtime_us
-            if runtime_us <= 0:
-                self.total_runtime_us = total_us
-                raise InvalidProbeError(
-                    "probe runtime estimate must be positive")
             arrival_us = probe.arrival_us
             deadline_us = probe.deadline_us
             wait_us = running_remaining_us + total_us
@@ -194,21 +185,21 @@ class WaitingQueue:
         """Evict tail probes while the queue exceeds either quota.
 
         Post-state: queue empty, or strictly below both quotas.  Evicted
-        probes are appended to the rotating buffer and returned in removal
-        order.  ``enqueue_all`` inlines this loop on its local total rather
-        than call it after every placed probe, which gave back a measurable
-        part of the batch's saving; ``tests/test_elastic_queue.py`` holds
-        both copies to the reference model's trim.
+        probes are appended to the rotating buffer, and that slice of it is
+        returned.  ``enqueue_all`` inlines this loop on its local total
+        rather than call it after every placed probe, which gave back a
+        measurable part of the batch's saving; ``tests/test_elastic_queue.py``
+        holds both copies to the reference model's trim.
         """
-        evicted = []
         entries = self.entries
+        rotating = self.rotating
+        before = len(rotating)
         while entries and (len(entries) >= state.probe_quota
                            or self.total_runtime_us >= state.load_quota_us):
             q = entries.pop()
             self.total_runtime_us -= q.runtime_us
-            evicted.append(q)
-            self.rotating.append(q)
-        return evicted
+            rotating.append(q)
+        return rotating[before:]
 
     def pop_head(self):
         """Remove and return the head probe, or None when empty."""

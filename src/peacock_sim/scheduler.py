@@ -240,15 +240,19 @@ class PeacockScheduler(Scheduler):
             self.sim.send(eid, ("peer", dcount, dload_us), now)
 
     def on_peer_update(self, dcount, dload_us):
-        """Apply an aggregate delta, a peer's or this scheduler's own; a
-        total driven negative is clamped to zero and counted."""
-        self.probe_count += dcount
-        self.load_us += dload_us
+        """Apply an aggregate delta, a peer's or this scheduler's own.  One
+        that would drive a total below zero is a ``ProtocolError`` and
+        leaves the aggregate as it was."""
+        probe_count = self.probe_count + dcount
+        load_us = self.load_us + dload_us
+        if probe_count < 0 or load_us < 0:
+            raise ProtocolError(
+                "scheduler %d: delta (%d, %d us) would drive its aggregate "
+                "(%d, %d us) below zero" % (self.sid, dcount, dload_us,
+                                             self.probe_count, self.load_us))
+        self.probe_count = probe_count
+        self.load_us = load_us
         self._state = None
-        if self.probe_count < 0 or self.load_us < 0:
-            self.probe_count = max(0, self.probe_count)
-            self.load_us = max(0, self.load_us)
-            self.sim.counters["aggregate_clamps"] += 1
 
     def release(self, job, stage_idx, now):
         self.change_aggregate(-1, -job.thetas[stage_idx], now)

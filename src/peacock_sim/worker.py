@@ -7,12 +7,13 @@ has no task left for the probe, ``cancel``).  Both carry the reserved
 probe itself, and the worker matches them to its slot by identity: an
 answer for any other probe, even an equal copy, is a ``ProtocolError``.
 The task runs until its ``complete`` timer, the worker reports
-``task_finish`` and then reserves for the next probe of its queue or goes
-idle.  While reserved, the worker neither executes nor pulls another
-probe.  Two attributes hold the slot's state: ``slot`` is the probe that
-holds it (None while idle), and ``finish_us`` the instant its task ends
-(None while reserved or idle).  Each algorithm's worker adds only its
-arrival rule, its queue order and a hook run after the finish report.
+``task_finish`` and then reserves for the next probe of its queue or, with
+the queue empty, goes idle; so an idle worker's queue is empty.  While
+reserved, the worker neither executes nor pulls another probe.  Two
+attributes hold the slot's state: ``slot`` is the probe that holds it
+(None while idle), and ``finish_us`` the instant its task ends (None while
+reserved or idle).  Each algorithm's worker adds only its arrival rule,
+its queue order and a hook run after the finish report.
 
 ``PeacockWorker`` is one node of the ring.  Its elastic queue sees a
 remaining runtime of zero while the slot is reserved.  Probes marked for

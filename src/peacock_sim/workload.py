@@ -296,8 +296,13 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.load <= 0:
             raise ValueError("target load must be positive")
-        if self.job_count < 1:
-            raise ValueError("need at least one job")
+        # As in SimConfig, a bool is not an integer.  derived_rng formats
+        # the seed with %d, so a fractional one would pass as another seed.
+        if type(self.job_count) is not int or self.job_count < 1:
+            raise ValueError("job_count %r is not an integer of at least 1"
+                             % (self.job_count,))
+        if type(self.seed) is not int:
+            raise ValueError("seed %r is not an integer" % (self.seed,))
         # A job has at least one task, so a lower mean would be missed.
         if not 1 <= self.mean_tasks < math.inf:
             raise ValueError("mean_tasks %r is not finite and at least 1"

@@ -8,6 +8,11 @@ randomized equivalence tests.
 """
 
 
+def probe_key(probe):
+    """A probe's identity as the tests compare it across copies."""
+    return (probe.job_id, probe.task_id)
+
+
 def total_work(entries):
     return sum(q.runtime_us for q in entries)
 

@@ -16,7 +16,7 @@ from peacock_sim.metrics import fraction_faster, summarize
 from peacock_sim.probes import Probe, SharedState, WaitingQueue
 from peacock_sim.scheduler import PeacockScheduler
 from peacock_sim.workload import Stage, SyntheticSpec, TraceRecord, generate
-from reference_queue import ref_enqueue
+from reference_queue import probe_key, ref_enqueue
 
 US = 1_000_000
 
@@ -106,9 +106,10 @@ def test_02_queue_matches_independent_reference():
             real.enqueue(Probe(*args), now, delta, state)
             ref_enqueue(ref_entries, ref_rotating, Probe(*args), now, delta,
                         state)
-        same = ([p.key for p in real.entries] == [p.key for p in ref_entries]
-                and [p.key for p in real.rotating]
-                == [p.key for p in ref_rotating])
+        same = (list(map(probe_key, real.entries))
+                == list(map(probe_key, ref_entries))
+                and list(map(probe_key, real.rotating))
+                == list(map(probe_key, ref_rotating)))
         mismatches += not same
     verdict(2, mismatches == 0,
             "1000 randomized queues identical to the reference model "

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peacock_sim import driver
-from peacock_sim.baselines import (LONG_CUTOFF_US, PROBE_RATIO, EagleCentral,
-                                   EagleScheduler, EagleWorker,
+from peacock_sim.baselines import (LONG_CUTOFF_US, PROBE_RATIO, SRPT_BOUND_US,
+                                   EagleCentral, EagleScheduler, EagleWorker,
                                    SparrowScheduler, SparrowWorker)
 from peacock_sim.engine import ProtocolError, SimConfig, Simulation, \
     SimulationError, derived_rng
@@ -211,6 +211,22 @@ def test_eagle_starvation_bound_blocks_bypass():
     w.handle(("probe", probe(("new", 0), None, 1,
                              scheduler=sched.eid)), 6 * US)
     assert [p.job_id[0] for p in w.queue] == ["old", "new"]
+
+
+@pytest.mark.parametrize("waited_us, order", [
+    (SRPT_BOUND_US - 1, ["new", "old"]),
+    (SRPT_BOUND_US, ["old", "new"]),
+], ids=["just-below-bound", "at-bound"])
+def test_eagle_starvation_bound_holds_from_its_exact_instant(waited_us, order):
+    # A shorter probe may pass an entry queued less than SRPT_BOUND_US ago,
+    # and not one queued exactly that long ago.
+    sim, w, sched, _ = make_eagle_worker()
+    w.slot, w.finish_us = probe(("r", 0), 0, 1, scheduler=sched.eid), 10 * US
+    w.handle(("probe", probe(("old", 0), None, 3,
+                             scheduler=sched.eid)), US)
+    w.handle(("probe", probe(("new", 0), None, 1,
+                             scheduler=sched.eid)), US + waited_us)
+    assert [p.job_id[0] for p in w.queue] == order
 
 
 def test_eagle_central_places_least_loaded():

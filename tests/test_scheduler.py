@@ -48,6 +48,21 @@ def job(job_id, durations_s, submit_us=0):
                        stages=[Stage([d * US for d in durations_s])])
 
 
+def apply_or_refuse(sched, delta, apply):
+    """Run ``apply``, which changes the aggregate by ``delta``.  A delta that
+    would drive a total below zero must raise ``ProtocolError`` and leave
+    the aggregate as it was."""
+    before = (sched.probe_count, sched.load_us)
+    if before[0] + delta[0] < 0 or before[1] + delta[1] < 0:
+        with pytest.raises(ProtocolError, match="below zero"):
+            apply()
+        assert (sched.probe_count, sched.load_us) == before
+    else:
+        apply()
+        assert (sched.probe_count, sched.load_us) == (
+            before[0] + delta[0], before[1] + delta[1])
+
+
 # -- quota arithmetic --------------------------------------------------------
 
 def test_probe_quota_rounds_half_up():
@@ -71,7 +86,9 @@ def test_shared_state_reflects_aggregate():
 @pytest.mark.parametrize("seed", range(5))
 def test_every_shared_state_read_follows_the_current_aggregate(seed):
     """Reads at one instant may share a state only while the aggregate
-    holds still; peer deltas, admissions and releases all move it."""
+    holds still; peer deltas, admissions and releases all move it.  A
+    peer delta or release that would drive a total below zero is refused
+    and moves nothing."""
     workers = 7
     sim, sched, _, _ = make_scheduler(workers=workers, with_peer=True)
     rng = random.Random(seed)
@@ -82,8 +99,9 @@ def test_every_shared_state_read_follows_the_current_aggregate(seed):
             now += rng.randrange(1, 3)
         action = rng.randrange(3)
         if action == 0:
-            sched.handle(("peer", rng.randrange(-3, 6),
-                          rng.randrange(-5, 10) * US), now)
+            delta = (rng.randrange(-3, 6), rng.randrange(-5, 10) * US)
+            apply_or_refuse(sched, delta,
+                            lambda: sched.handle(("peer",) + delta, now))
         elif action == 1:
             record = job("j%d" % step,
                          [rng.randrange(1, 9)
@@ -91,7 +109,9 @@ def test_every_shared_state_read_follows_the_current_aggregate(seed):
             sched.on_job_arrival(record, now)
             admitted.append(sched.jobs[record.job_id])
         elif admitted:
-            sched.release(rng.choice(admitted), 0, now)
+            chosen = rng.choice(admitted)
+            apply_or_refuse(sched, (-1, -chosen.thetas[0]),
+                            lambda: sched.release(chosen, 0, now))
         for _ in range(rng.randrange(1, 4)):
             assert sched.shared_state(now) == SharedState(
                 probe_quota(sched.probe_count, workers),
@@ -133,24 +153,35 @@ def test_peer_updates_cancel_out():
     assert sim.counters["aggregate_clamps"] == 0
 
 
-def test_peer_update_clamps_below_zero():
+def test_peer_update_below_zero_is_a_protocol_error():
     sim, sched, _, _ = make_scheduler()
-    sched.on_peer_update(-3, -5 * US)
+    with pytest.raises(ProtocolError, match=r"scheduler 0: .* \(0, 0 us\)"):
+        sched.on_peer_update(-3, -5 * US)
     assert (sched.probe_count, sched.load_us) == (0, 0)
-    assert sim.counters["aggregate_clamps"] == 1
+    # Either total alone going below zero is refused too.
+    sched.on_peer_update(2, 10 * US)
+    for delta in ((-3, 0), (0, -11 * US)):
+        with pytest.raises(ProtocolError, match="below zero"):
+            sched.on_peer_update(*delta)
+        assert (sched.probe_count, sched.load_us) == (2, 10 * US)
+    assert sim.counters["aggregate_clamps"] == 0
 
 
-def test_finish_clamps_an_aggregate_a_peer_already_drained():
-    sim, sched, recorders, _ = make_scheduler()
+def test_finish_of_an_aggregate_a_peer_already_drained_is_a_protocol_error():
+    sim, sched, recorders, peer = make_scheduler(with_peer=True)
     sched.on_job_arrival(job("j", [20]), now=0)
     sim.run()
     (probe,) = [m[1] for r in recorders for _, m in r.inbox
                 if m[0] == "probe"]
     sched.on_peer_update(-1, -20 * US)
     sched.handle(("task_request", probe, recorders[0].eid), 1 * US)
-    sched.handle(("task_finish", probe.job_id, 0, 21 * US), 21 * US)
+    peer.inbox.clear()
+    with pytest.raises(ProtocolError, match="below zero"):
+        sched.handle(("task_finish", probe.job_id, 0, 21 * US), 21 * US)
     assert (sched.probe_count, sched.load_us) == (0, 0)
-    assert sim.counters["aggregate_clamps"] == 1
+    # The refused delta reached no peer.
+    sim.run()
+    assert [m for _, m in peer.inbox if m[0] == "peer"] == []
 
 
 # -- probe placement ---------------------------------------------------------

@@ -11,6 +11,7 @@ from peacock_sim.probes import Probe, SharedState, WaitingQueue
 from peacock_sim.baselines import EagleWorker, SparrowWorker
 from peacock_sim.worker import PeacockWorker, Ring
 from peacock_sim.workload import Stage, TraceRecord
+from reference_queue import probe_key
 
 US = 1_000_000
 
@@ -542,7 +543,7 @@ def test_answer_for_a_copy_of_the_reserved_probe_is_protocol_violation(
     p = probe("j", theta=1, scheduler=sched.eid)
     worker.handle(message("probe", p), 0)
     twin = copy.copy(p)
-    assert twin is not p and twin.key == p.key
+    assert twin is not p and probe_key(twin) == probe_key(p)
     answer = (message("assign", twin, 0, 10 * US) if kind == "assign"
               else ("cancel", twin))
     with pytest.raises(ProtocolError, match="without matching reservation"):

@@ -561,3 +561,20 @@ def test_spec_validation(bad):
 def test_spec_that_cannot_meet_its_load_names_the_field(bad, field):
     with pytest.raises(ValueError, match="^%s " % field):
         SyntheticSpec(load=1.0, job_count=10, **bad)
+
+
+@pytest.mark.parametrize("bad, field", [
+    # generate would fail deep inside range() on a fractional count.
+    (dict(job_count=2.5), "job_count"),
+    (dict(job_count=True), "job_count"),
+    (dict(job_count=0), "job_count"),
+    # The seed is formatted with %d, so 1.7 and True would both pass as
+    # seed 1.
+    (dict(seed=1.7), "seed"),
+    (dict(seed=True), "seed"),
+    (dict(seed="1"), "seed"),
+], ids=["fractional-count", "bool-count", "zero-count", "fractional-seed",
+        "bool-seed", "string-seed"])
+def test_spec_count_and_seed_must_be_integers(bad, field):
+    with pytest.raises(ValueError, match="^%s " % field):
+        SyntheticSpec(**{"load": 1.0, "job_count": 10, **bad})
