@@ -30,7 +30,7 @@ from collections import deque
 
 from .engine import ProtocolError, US_PER_S, derived_rng
 from .probes import Probe
-from .scheduler import Scheduler, pick_workers
+from .scheduler import Scheduler, draw_below, pick_workers
 from .worker import SlotWorker
 
 PROBE_RATIO = 2                 # probes per sampled task, both baselines
@@ -87,7 +87,8 @@ class EagleWorker(SlotWorker):
             if self.rng is None:
                 self.rng = derived_rng(self.sim.config.seed, "eagle-worker",
                                        self.index)
-            target = self.rng.choice(self.short_worker_eids)
+            short = self.short_worker_eids
+            target = short[draw_below(self.rng.getrandbits, len(short))]
             self.sim.send(target, ("probe", probe), now)
             return
         if self.slot is None:

@@ -11,8 +11,8 @@ import sys
 from .driver import run_simulation
 from .engine import ALGOS, SimConfig, SimulationError, US_PER_S, derived_rng
 from .metrics import fraction_faster, summarize
-from .workload import (LoadError, SyntheticSpec, TraceError, generate,
-                       load_trace, mean_interarrival_us)
+from .workload import (LoadError, SyntheticSpec, TraceError, clock_overflow,
+                       generate, load_trace, mean_interarrival_us)
 
 REPORT_SCHEMA = "peacock-report-1"
 
@@ -132,9 +132,12 @@ def make_workload(args, seed):
                 sum(r.total_work_us for r in records) / tasks)
             rng = derived_rng(seed, "trace-arrivals")
             t = 0.0
-            for r in records:
-                r.submit_us = int(t)
-                t += rng.expovariate(1.0 / gap)
+            try:
+                for r in records:
+                    r.submit_us = int(t)
+                    t += rng.expovariate(1.0 / gap)
+            except OverflowError:
+                raise clock_overflow(args.load, args.workers) from None
         return records
     spec = SyntheticSpec(load=args.load, job_count=args.jobs, seed=seed,
                          duration_model=args.duration_model)

@@ -25,18 +25,61 @@ count, total estimated load) is kept in step with its peers and feeds the
 shared state that workers use to size their elastic queues.
 """
 
+from math import ceil, log
+
 from .engine import ProtocolError, SimulationError
 from .metrics import JobRecord
 from .probes import Probe, SharedState
 
 
+def draw_below(getrandbits, n):
+    """A uniform int in [0, n), for n >= 1: ``getrandbits(n.bit_length())``
+    repeated until it falls below n.  Every scheduling draw is made here,
+    from the generator's raw output, so no draw rests on the algorithms of
+    ``sample``, ``choice`` or ``randrange``, which Python does not promise
+    to keep.  It consumes the stream as ``randrange(n)`` does on Python
+    3.10 to 3.13, and so gives the same value."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def pick_workers(rng, total, count):
     """Draw ``count`` worker indices, distinct while count <= total and
-    with replacement beyond."""
-    if count <= total:
-        return rng.sample(range(total), count)
-    ids = rng.sample(range(total), total)
-    ids += [rng.randrange(total) for _ in range(count - total)]
+    with replacement beyond.  The indices, and the stream's state after,
+    are those that ``Random.sample`` draws from ``range(total)``, then one
+    ``randrange`` draw per index beyond ``total``.
+
+    The distinct draws follow ``Random.sample``'s size rule, since that
+    rule is what keeps these draws equal to the reports' past ones.  With
+    k distinct indices, ``setsize`` is 21, plus ``4 ** ceil(log(3k, 4))``
+    when k > 5.  When total <= setsize, a pool of all indices is drawn
+    from without replacement; otherwise each index is redrawn until it is
+    new."""
+    getrandbits = rng.getrandbits
+    k = min(count, total)
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** ceil(log(k * 3, 4))
+    if total <= setsize:
+        pool = list(range(total))
+        ids = []
+        for n in range(total, total - k, -1):
+            j = draw_below(getrandbits, n)
+            ids.append(pool[j])
+            pool[j] = pool[n - 1]
+    else:
+        # A dict keeps the first draw of each index, in draw order.
+        picked = {}
+        while len(picked) < k:
+            picked[draw_below(getrandbits, total)] = None
+        ids = list(picked)
+    if count > total:
+        if not total:
+            raise ValueError("cannot draw %d workers from none" % count)
+        ids += [draw_below(getrandbits, total) for _ in range(count - total)]
     return ids
 
 

@@ -273,6 +273,13 @@ def mean_interarrival_us(load, workers, mean_tasks, mean_duration_us):
     return gap
 
 
+def clock_overflow(load, workers):
+    """The ``LoadError`` for an arrival clock that summed past the largest
+    float, where ``int`` of its time raises ``OverflowError``."""
+    return LoadError("load %r on %d workers drives the arrival clock past "
+                     "the largest float" % (load, workers))
+
+
 @dataclass
 class SyntheticSpec:
     """Synthetic workload: Poisson arrivals at a target average load.
@@ -294,8 +301,9 @@ class SyntheticSpec:
     long_duration_us: int = 10 * US_PER_S
 
     def __post_init__(self):
-        if self.load <= 0:
-            raise ValueError("target load must be positive")
+        if not 0 < self.load < math.inf:
+            raise ValueError("load %r is not positive and finite"
+                             % (self.load,))
         # As in SimConfig, a bool is not an integer.  derived_rng formats
         # the seed with %d, so a fractional one would pass as another seed.
         if type(self.job_count) is not int or self.job_count < 1:
@@ -372,7 +380,11 @@ def generate(spec, workers):
     for i in range(spec.job_count):
         n = _sample_tasks(rng, spec.mean_tasks)
         durations = _sample_durations(rng, spec, n)
-        records.append(TraceRecord(job_id=i, submit_us=int(t),
+        try:
+            submit_us = int(t)
+        except OverflowError:
+            raise clock_overflow(spec.load, workers) from None
+        records.append(TraceRecord(job_id=i, submit_us=submit_us,
                                    stages=(Stage(durations),)))
         t += rng.expovariate(1.0 / mean_gap)
     return records

@@ -212,6 +212,27 @@ def test_load_that_overflows_with_the_worker_count_is_rejected(
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("use_trace", [False, True],
+                         ids=["synthetic", "trace-arrivals"])
+def test_load_whose_arrival_clock_overflows_is_rejected(
+        tmp_path, capsys, use_trace):
+    # Each mean arrival gap is finite, but their sum passes the largest
+    # float long before the last job.
+    argv = ["run", "--jobs", "200", "--workers", "10", "--load", "1e-300"]
+    if use_trace:
+        trace = tmp_path / "jobs.jsonl"
+        save_trace([TraceRecord(i, None, [Stage([US])]) for i in range(200)],
+                   trace)
+        argv = argv[:-1] + ["1e-303", "--trace", str(trace)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("peacock-sim: error: argument --load: "
+                                   "load %s on 10 workers drives the arrival "
+                                   "clock" % argv[argv.index("--load") + 1])
+    assert captured.err.count("\n") == 1
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "peacock_sim.cli", "run", "--workers", "5",

@@ -16,7 +16,7 @@ from peacock_sim.engine import (ProtocolError, SimConfig, Simulation,
 from peacock_sim.metrics import JobRecord
 from peacock_sim.probes import Probe, SharedState
 from peacock_sim.scheduler import JobState, PeacockScheduler, Scheduler, \
-    mean_us, pick_workers, probe_quota
+    draw_below, mean_us, pick_workers, probe_quota
 from peacock_sim.workload import Stage, TraceRecord
 
 US = 1_000_000
@@ -213,6 +213,56 @@ def test_pick_workers_distinct_then_replacement():
     drawn = pick_workers(rng, 4, 11)
     assert len(drawn) == 11
     assert sorted(set(drawn[:4])) == list(range(4))
+
+
+# Totals at and around Random.sample's two set sizes for these counts (21,
+# and 85 for 6 to 21 draws, 277 for 22), plus larger clusters.
+SAMPLE_TOTALS = [20, 21, 22, 84, 85, 86, 276, 277, 278, 100, 500, 2000]
+
+
+@pytest.mark.parametrize("total", SAMPLE_TOTALS)
+def test_pick_workers_matches_the_stdlib_draws(total):
+    # The oracle: today's stdlib sample of distinct indices, then one
+    # randrange per index beyond the total.  The indices and the stream's
+    # state after must both match.
+    for count in (0, 1, 5, 6, 21, 22, total, total + 1, 2 * total):
+        for seed in range(4):
+            ours, oracle = random.Random(seed), random.Random(seed)
+            expected = oracle.sample(range(total), min(count, total))
+            expected += [oracle.randrange(total)
+                         for _ in range(count - total)]
+            assert pick_workers(ours, total, count) == expected, \
+                (total, count, seed)
+            assert ours.getstate() == oracle.getstate()
+
+
+@pytest.mark.parametrize("seed, total, count, expected", [
+    # The set strategy: 100 is above the set size 85 for 6 draws.
+    (1, 100, 6, [17, 72, 97, 8, 32, 15]),
+    # The pool strategy: 21 distinct of 21.
+    (7, 21, 21, [10, 4, 12, 1, 2, 3, 5, 9, 0, 8, 15, 18, 17, 6, 20, 13, 11,
+                 14, 16, 19, 7]),
+    # With replacement past the total.
+    (5, 4, 9, [2, 3, 1, 0, 3, 1, 0, 1, 0]),
+], ids=["set", "pool", "replacement"])
+def test_pick_workers_pinned_draws(seed, total, count, expected):
+    # Literal draws, so that a change in Python's stdlib sampler cannot move
+    # them together with the oracle above.
+    assert pick_workers(random.Random(seed), total, count) == expected
+
+
+def test_pick_workers_from_no_workers_is_refused():
+    with pytest.raises(ValueError, match="from none"):
+        pick_workers(random.Random(1), 0, 1)
+    assert pick_workers(random.Random(1), 0, 0) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 75, 1000])
+def test_draw_below_matches_randrange(n):
+    ours, oracle = random.Random(n), random.Random(n)
+    draws = [draw_below(ours.getrandbits, n) for _ in range(200)]
+    assert draws == [oracle.randrange(n) for _ in range(200)]
+    assert ours.getstate() == oracle.getstate()
 
 
 # -- stage probes ------------------------------------------------------------

@@ -450,6 +450,14 @@ def test_mean_interarrival_rejects_bad_inputs():
 
 # -- synthetic generation ----------------------------------------------------
 
+def test_arrival_clock_past_the_largest_float_is_a_load_error():
+    # The mean gap, 1.6e306 us, is finite, but about 110 of them sum past
+    # the largest float, and int() of an infinite arrival time overflows.
+    spec = SyntheticSpec(load=1e-300, job_count=200, seed=0)
+    with pytest.raises(LoadError, match="^load 1e-300 on 10 workers "):
+        generate(spec, 10)
+
+
 def test_generation_is_deterministic():
     spec = SyntheticSpec(load=0.5, job_count=50, seed=9)
     a = generate(spec, 100)
@@ -553,14 +561,20 @@ def test_spec_validation(bad):
     (dict(sigma=-1.0), "sigma"),
     # Finite, but its square, which the duration sampler takes, is not.
     (dict(sigma=1e200), "sigma"),
+    # The load itself: positive and finite.
+    (dict(load=0.0), "load"),
+    (dict(load=-1.0), "load"),
+    (dict(load=math.nan), "load"),
+    (dict(load=math.inf), "load"),
 ], ids=["half-task", "nan-tasks", "negative-fraction", "fraction-above-1",
         "zero-short", "negative-short", "zero-long", "negative-long",
         "fractional-short", "zero-mean-duration", "negative-mean-duration",
         "nan-mean-duration", "infinite-tasks", "infinite-mean-duration",
-        "nan-sigma", "infinite-sigma", "negative-sigma", "huge-sigma"])
+        "nan-sigma", "infinite-sigma", "negative-sigma", "huge-sigma",
+        "zero-load", "negative-load", "nan-load", "infinite-load"])
 def test_spec_that_cannot_meet_its_load_names_the_field(bad, field):
     with pytest.raises(ValueError, match="^%s " % field):
-        SyntheticSpec(load=1.0, job_count=10, **bad)
+        SyntheticSpec(**{"load": 1.0, "job_count": 10, **bad})
 
 
 @pytest.mark.parametrize("bad, field", [
