@@ -5,7 +5,7 @@ ring-rotation scheduler with elastic worker queues, plus batch-sampling
 from .driver import RunResult, run_simulation
 from .engine import SimConfig, Simulation, SimulationError, ProtocolError
 from .metrics import JobRecord, Report, fraction_faster, summarize
-from .probes import Probe, SharedState, WaitingQueue, INSERTED, ROTATED
+from .probes import Probe, SharedState, WaitingQueue
 from .workload import (SyntheticSpec, TraceRecord, Stage, generate,
                        load_trace, mean_interarrival_us, save_trace)
 
@@ -13,6 +13,6 @@ __all__ = [
     "RunResult", "run_simulation", "SimConfig", "Simulation",
     "SimulationError", "ProtocolError", "JobRecord", "Report",
     "fraction_faster", "summarize", "Probe", "SharedState", "WaitingQueue",
-    "INSERTED", "ROTATED", "SyntheticSpec", "TraceRecord", "Stage",
-    "generate", "load_trace", "mean_interarrival_us", "save_trace",
+    "SyntheticSpec", "TraceRecord", "Stage", "generate", "load_trace",
+    "mean_interarrival_us", "save_trace",
 ]

@@ -10,8 +10,8 @@ and a FIFO worker queue.
 
 Eagle: a static long/short job split.  A stage whose mean task estimate
 is above LONG_CUTOFF_US is long.  A centralized placer puts each long
-task on the least-loaded worker of the general partition (lowest eid on
-ties), kept in a heap of (load, eid); the placer binds each long probe to
+task on the least-loaded worker of the general partition (lowest index on
+ties), kept in a heap of (load, index); the placer binds each long probe to
 its task, so long probes are the only Eagle probes with a ``task_id``.
 Short stages are sampled as in Sparrow, a short probe landing on a worker
 with long work is re-sampled once into the short-only partition (the
@@ -60,7 +60,8 @@ class EagleWorker(SlotWorker):
     """Shortest-estimate-first queue with a starvation bound, plus the
     re-sample-once rule for short probes meeting long work.  A probe is
     long when its runtime estimate is above ``LONG_CUTOFF_US``, the test
-    that sent its stage to the central placer.
+    that sent its stage to the central placer.  The driver sets
+    ``short_workers`` and ``central`` once every worker exists.
 
     The worker draws re-sample targets from its own stream,
     ``derived_rng(seed, "eagle-worker", index)``, made the first time it
@@ -68,10 +69,9 @@ class EagleWorker(SlotWorker):
     its tags, so making it late gives the same draws as making it at
     build time."""
 
-    def __init__(self, sim, index, partition, short_worker_eids):
+    def __init__(self, sim, index, partition):
         super().__init__(sim, index)
         self.partition = partition          # "short" or "general"
-        self.short_worker_eids = short_worker_eids
         self.rng = None                     # made on the first re-sample
         self.queue = []
         self.long_count = 0                 # long probes queued or running
@@ -87,7 +87,7 @@ class EagleWorker(SlotWorker):
             if self.rng is None:
                 self.rng = derived_rng(self.sim.config.seed, "eagle-worker",
                                        self.index)
-            short = self.short_worker_eids
+            short = self.short_workers
             target = short[draw_below(self.rng.getrandbits, len(short))]
             self.sim.send(target, ("probe", probe), now)
             return
@@ -117,8 +117,8 @@ class EagleWorker(SlotWorker):
     def _finished(self, probe, now):
         if probe.runtime_us > LONG_CUTOFF_US:
             self.long_count -= 1
-            self.sim.send(self.central_eid,
-                          ("long_finish", self.eid, probe.runtime_us), now)
+            self.sim.send(self.central,
+                          ("long_finish", self.index, probe.runtime_us), now)
 
 
 class EagleCentral:
@@ -126,49 +126,50 @@ class EagleCentral:
     placements; finish notifications arrive with network delay.
 
     Each long task goes to the least-loaded general worker, the lowest
-    eid on ties; the driver creates workers in index order, so that is the
-    lowest index too.  ``loads_us`` holds the loads by worker eid; ``heap``
-    holds ``(load_us, eid)`` entries, and an entry whose load differs from
-    ``loads_us`` is stale and is dropped when it reaches the top.  Every
-    worker keeps one entry that matches its load, so the first matching
-    entry on top is the least ``(load_us, eid)``.
+    index on ties.  ``workers`` maps each general worker's index to the
+    worker; ``loads_us`` holds their loads by index, and ``heap`` holds
+    ``(load_us, index)`` entries of plain ints.  An entry whose load differs
+    from ``loads_us`` is stale and is dropped when it reaches the top.
+    Every worker keeps one entry that matches its load, so the first
+    matching entry on top is the least ``(load_us, index)``.
     """
 
-    def __init__(self, sim, general_worker_eids):
+    def __init__(self, sim, general_workers):
         self.sim = sim
-        self.eid = sim.add_entity(self)
-        self.loads_us = dict.fromkeys(general_worker_eids, 0)
-        self.heap = [(0, eid) for eid in general_worker_eids]
+        sim.add_entity(self)
+        self.workers = {w.index: w for w in general_workers}
+        self.loads_us = dict.fromkeys(self.workers, 0)
+        self.heap = [(0, i) for i in self.workers]
         heapq.heapify(self.heap)
 
     def handle(self, payload, now):
         kind = payload[0]
         if kind == "long_stage":
-            _, job_key, tasks, theta, scheduler_eid = payload
-            self.place_stage(job_key, tasks, theta, scheduler_eid, now)
+            _, job_key, tasks, theta, scheduler = payload
+            self.place_stage(job_key, tasks, theta, scheduler, now)
         elif kind == "long_finish":
-            _, worker_eid, theta = payload
-            load = self.loads_us[worker_eid] - theta
-            self.loads_us[worker_eid] = load
-            heapq.heappush(self.heap, (load, worker_eid))
+            _, index, theta = payload
+            load = self.loads_us[index] - theta
+            self.loads_us[index] = load
+            heapq.heappush(self.heap, (load, index))
         else:
             raise ProtocolError("eagle central: unknown payload %r" % kind)
 
-    def place_stage(self, job_key, tasks, theta, scheduler_eid, now):
+    def place_stage(self, job_key, tasks, theta, scheduler, now):
         self.sim.counters["probes_created"] += tasks
         heap = self.heap
         loads_us = self.loads_us
         for task_id in range(tasks):
             while heap[0][0] != loads_us[heap[0][1]]:
                 heapq.heappop(heap)
-            load, worker_eid = heap[0]
+            load, index = heap[0]
             load += theta
-            loads_us[worker_eid] = load
-            heapq.heapreplace(heap, (load, worker_eid))
+            loads_us[index] = load
+            heapq.heapreplace(heap, (load, index))
             probe = Probe(job_id=job_key, task_id=task_id, arrival_us=now,
                           runtime_us=theta, allowance_us=0,
-                          scheduler=scheduler_eid)
-            self.sim.send(worker_eid, ("probe", probe), now)
+                          scheduler=scheduler)
+            self.sim.send(self.workers[index], ("probe", probe), now)
 
 
 class SparrowScheduler(Scheduler):
@@ -176,34 +177,33 @@ class SparrowScheduler(Scheduler):
 
     def submit_stage(self, job, stage_idx, now):
         count = PROBE_RATIO * len(job.record.stages[stage_idx].durations_us)
-        worker_eids = self.worker_eids
+        workers = self.workers
         job_key = (job.record.job_id, stage_idx)
         theta = job.thetas[stage_idx]
-        eid = self.eid
-        targets = pick_workers(self.rng, len(worker_eids), count)
+        targets = pick_workers(self.rng, len(workers), count)
         self.sim.counters["probes_created"] += count
         # Probe((job, stage), task, arrival, runtime estimate, allowance,
         # scheduler); the task is None, picked when the probe reaches a slot.
         send = self.sim.send
         for w in targets:
-            send(worker_eids[w], ("probe", Probe(job_key, None, now, theta, 0,
-                                                 eid)), now)
+            send(workers[w], ("probe", Probe(job_key, None, now, theta, 0,
+                                             self)), now)
 
 
 class EagleScheduler(SparrowScheduler):
     """Long stages go to the central placer; short ones are sampled and
     bound late as in Sparrow."""
 
-    def __init__(self, sim, sid, worker_eids, rng, central_eid):
-        super().__init__(sim, sid, worker_eids, rng)
-        self.central_eid = central_eid
+    def __init__(self, sim, sid, workers, rng, central):
+        super().__init__(sim, sid, workers, rng)
+        self.central = central
 
     def submit_stage(self, job, stage_idx, now):
         theta = job.thetas[stage_idx]
         if theta > LONG_CUTOFF_US:
-            self.sim.send(self.central_eid,
+            self.sim.send(self.central,
                           ("long_stage", (job.record.job_id, stage_idx),
                            len(job.record.stages[stage_idx].durations_us),
-                           theta, self.eid), now)
+                           theta, self), now)
         else:
             super().submit_stage(job, stage_idx, now)

@@ -24,22 +24,19 @@ class RunResult:
 
 def _build_peacock(sim, config):
     workers = [PeacockWorker(sim, i) for i in range(config.workers)]
-    worker_eids = [w.eid for w in workers]
-    schedulers = [PeacockScheduler(sim, s, worker_eids,
+    schedulers = [PeacockScheduler(sim, s, workers,
                                    derived_rng(config.seed, "scheduler", s))
                   for s in range(config.schedulers)]
-    sched_eids = [s.eid for s in schedulers]
     for s in schedulers:
-        s.peer_eids = [e for e in sched_eids if e != s.eid]
-    ring = Ring(sim, workers)
-    sim.schedule_at(config.rotation_interval_us, ring.eid, ("round",))
+        s.peers = [p for p in schedulers if p is not s]
+    sim.schedule_at(config.rotation_interval_us, Ring(sim, workers),
+                    ("round",))
     return workers, schedulers
 
 
 def _build_sparrow(sim, config):
     workers = [SparrowWorker(sim, i) for i in range(config.workers)]
-    worker_eids = [w.eid for w in workers]
-    schedulers = [SparrowScheduler(sim, s, worker_eids,
+    schedulers = [SparrowScheduler(sim, s, workers,
                                    derived_rng(config.seed, "scheduler", s))
                   for s in range(config.schedulers)]
     return workers, schedulers
@@ -50,18 +47,16 @@ def _build_eagle(sim, config):
     # One short worker at least once W >= 2; SHORT_FRACTION = 0.15 always
     # leaves general ones.
     short_count = max(1, round(SHORT_FRACTION * W)) if W > 1 else 0
-    workers = [EagleWorker(sim, i, "short" if i < short_count else "general",
-                           short_worker_eids=None)
+    workers = [EagleWorker(sim, i, "short" if i < short_count else "general")
                for i in range(W)]
-    worker_eids = [w.eid for w in workers]
-    short_eids = worker_eids[:short_count] or worker_eids
-    central = EagleCentral(sim, worker_eids[short_count:])
+    short_workers = workers[:short_count] or workers
+    central = EagleCentral(sim, workers[short_count:])
     for w in workers:
-        w.short_worker_eids = short_eids
-        w.central_eid = central.eid
-    schedulers = [EagleScheduler(sim, s, worker_eids,
+        w.short_workers = short_workers
+        w.central = central
+    schedulers = [EagleScheduler(sim, s, workers,
                                  derived_rng(config.seed, "scheduler", s),
-                                 central.eid)
+                                 central)
                   for s in range(config.schedulers)]
     return workers, schedulers
 
@@ -102,7 +97,7 @@ def run_simulation(config, records):
         if problem is not None:
             raise SimulationError("job %r%s" % (job_id, problem))
         needed += len(stages) + 4 * record.task_count
-        sim.schedule_at(submit_us, schedulers[i % len(schedulers)].eid,
+        sim.schedule_at(submit_us, schedulers[i % len(schedulers)],
                         ("job", record))
     if config.event_cap < needed:
         raise SimulationError(

@@ -2,9 +2,10 @@
 
 The virtual clock is integer microseconds.  Events are totally ordered by
 time, then by the order in which they were scheduled, so two events for
-the same instant are delivered in send order.  Messages between entities
-incur the configured network delay; timers (task completions, ring
-rotation rounds) are delivered without delay.
+the same instant are delivered in send order.  An event's target is the
+entity itself, whose ``handle(payload, time_us)`` runs it.  Messages
+between entities incur the configured network delay; timers (task
+completions, ring rotation rounds) are delivered without delay.
 
 The pending events are one list per instant, in schedule order, and a
 heap of those instants.  ``run()`` takes the earliest instant's list and
@@ -87,9 +88,10 @@ class Simulation:
         self.net_delay_us = config.net_delay_us
         self.now = 0
         # A heap of the instants that have events pending, and each one's
-        # (target, payload) list in schedule order.
+        # (target entity, payload) list in schedule order.
         self._times = []
         self._pending = {}
+        # Every entity of the run, in creation order.
         self.entities = []
         self.counters = {
             "messages": 0,
@@ -106,11 +108,13 @@ class Simulation:
         self.total_jobs = 0
 
     def add_entity(self, entity):
+        """Register ``entity`` in the run's registry; events address it by
+        reference."""
         self.entities.append(entity)
-        return len(self.entities) - 1
 
     def schedule_at(self, time_us, target, payload):
-        """Schedule a timer event; not counted as a network message."""
+        """Schedule a timer event for the entity ``target``; not counted as
+        a network message."""
         events = self._pending.get(time_us)
         if events is None:
             self._pending[time_us] = [(target, payload)]
@@ -119,9 +123,8 @@ class Simulation:
             events.append((target, payload))
 
     def send(self, target, payload, now_us):
-        """Deliver ``payload`` to ``target`` after the network delay."""
-        if not 0 <= target < len(self.entities):
-            raise SimulationError("send to unknown entity %r" % target)
+        """Deliver ``payload`` to the entity ``target`` after the network
+        delay."""
         self.counters["messages"] += 1
         self.schedule_at(now_us + self.net_delay_us, target, payload)
 
@@ -130,7 +133,6 @@ class Simulation:
         until none is pending; returns the number of events handled."""
         times = self._times
         pending = self._pending
-        entities = self.entities
         cap = self.config.event_cap
         processed = 0
         while times:
@@ -142,7 +144,7 @@ class Simulation:
             self.now = time_us
             events = pending.pop(time_us)
             for target, payload in events:
-                entities[target].handle(payload, time_us)
+                target.handle(payload, time_us)
             processed += len(events)
             if processed > cap:
                 raise SimulationError(

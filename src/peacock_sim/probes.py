@@ -50,7 +50,8 @@ class Probe:
     ``allowance_us`` (waiting-time allowance, frozen at admission) never
     change after creation, so ``deadline_us`` is computed once and only
     ``__init__`` checks that ``runtime_us`` is positive.  ``rotations``
-    counts ring hops.
+    counts ring hops, and ``scheduler`` is the scheduler entity that its
+    ``task_request`` and ``task_finish`` go to.
     """
 
     __slots__ = (

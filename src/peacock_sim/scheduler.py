@@ -27,7 +27,7 @@ shared state that workers use to size their elastic queues.
 
 from math import ceil, log
 
-from .engine import ProtocolError, SimulationError
+from .engine import ProtocolError
 from .metrics import JobRecord
 from .probes import Probe, SharedState
 
@@ -157,19 +157,14 @@ class JobState:
 
 class Scheduler:
     """The protocol shared by every algorithm.  Subclasses define
-    ``submit_stage``, which sends a stage's probes, and may override
-    ``release`` and ``assignment``.  Each of ``worker_eids`` is checked
-    here, so a bad one fails at wiring, before any event runs."""
+    ``submit_stage``, which sends a stage's probes to ``workers``, and may
+    override ``release`` and ``assignment``."""
 
-    def __init__(self, sim, sid, worker_eids, rng):
+    def __init__(self, sim, sid, workers, rng):
         self.sim = sim
         self.sid = sid
-        self.eid = sim.add_entity(self)
-        for eid in worker_eids:
-            if not 0 <= eid < len(sim.entities):
-                raise SimulationError("scheduler %d: unknown worker entity %r"
-                                      % (sid, eid))
-        self.worker_eids = worker_eids
+        sim.add_entity(self)
+        self.workers = workers
         self.rng = rng
         # job id -> its JobState while in flight; None once finished.
         self.jobs = {}
@@ -179,8 +174,8 @@ class Scheduler:
         if kind == "job":
             self.on_job_arrival(payload[1], now)
         elif kind == "task_request":
-            _, probe, worker_eid = payload
-            self.on_task_request(probe, worker_eid, now)
+            _, probe, worker = payload
+            self.on_task_request(probe, worker, now)
         elif kind == "task_finish":
             _, job_key, task_id, finish_us = payload
             self.on_task_finish(job_key, task_id, finish_us, now)
@@ -195,7 +190,7 @@ class Scheduler:
             if not stage.deps:
                 self.submit_stage(job, i, now)
 
-    def on_task_request(self, probe, worker_eid, now):
+    def on_task_request(self, probe, worker, now):
         job_id, stage_idx = probe.job_id
         job = self.jobs.get(job_id, _UNSEEN)
         if job is _UNSEEN:
@@ -206,7 +201,7 @@ class Scheduler:
             task_id = -1 if job is None else job.launched[stage_idx].find(0)
             if task_id < 0:
                 self.sim.counters["probes_cancelled"] += 1
-                self.sim.send(worker_eid, ("cancel", probe), now)
+                self.sim.send(worker, ("cancel", probe), now)
                 return
         elif job is None or job.launched[stage_idx][task_id]:
             raise ProtocolError("task %r of job %r already launched"
@@ -215,7 +210,7 @@ class Scheduler:
         job.result.rotations.append(probe.rotations)
         self.sim.counters["tasks_launched"] += 1
         duration = job.record.stages[stage_idx].durations_us[task_id]
-        self.sim.send(worker_eid,
+        self.sim.send(worker,
                       self.assignment(probe, task_id, duration, now), now)
 
     def assignment(self, probe, task_id, duration_us, now):
@@ -245,9 +240,9 @@ class PeacockScheduler(Scheduler):
     """One of a few equal schedulers; owns the full life cycle of its jobs
     and keeps the scheduler-wide aggregate in step with its peers."""
 
-    def __init__(self, sim, sid, worker_eids, rng):
-        super().__init__(sim, sid, worker_eids, rng)
-        self.peer_eids = []
+    def __init__(self, sim, sid, workers, rng):
+        super().__init__(sim, sid, workers, rng)
+        self.peers = []
         self.probe_count = 0
         self.load_us = 0
         # The state shared_state last built; its version is (now, sid), so
@@ -267,7 +262,7 @@ class PeacockScheduler(Scheduler):
         """The quotas of the current aggregate, stamped ``(now, sid)``."""
         state = self._state
         if state is None or state.version[0] != now:
-            workers = len(self.worker_eids)
+            workers = len(self.workers)
             state = self._state = SharedState(
                 probe_quota=probe_quota(self.probe_count, workers),
                 load_quota_us=self.load_us // workers,
@@ -279,8 +274,8 @@ class PeacockScheduler(Scheduler):
         """Apply this scheduler's own aggregate delta and send it to the
         peers."""
         self.on_peer_update(dcount, dload_us)
-        for eid in self.peer_eids:
-            self.sim.send(eid, ("peer", dcount, dload_us), now)
+        for peer in self.peers:
+            self.sim.send(peer, ("peer", dcount, dload_us), now)
 
     def on_peer_update(self, dcount, dload_us):
         """Apply an aggregate delta, a peer's or this scheduler's own.  One
@@ -309,17 +304,16 @@ class PeacockScheduler(Scheduler):
         self.change_aggregate(n, n * theta, now)
         state = self.shared_state(now)
         allowance = state.load_quota_us
-        worker_eids = self.worker_eids
+        workers = self.workers
         job_key = (job.record.job_id, stage_idx)
-        eid = self.eid
-        targets = pick_workers(self.rng, len(worker_eids), n)
+        targets = pick_workers(self.rng, len(workers), n)
         self.sim.counters["probes_created"] += n
         # Probe((job, stage), task, arrival, runtime estimate, allowance,
         # scheduler); each probe is bound to its task here.
         send = self.sim.send
         for task_id, w in enumerate(targets):
-            send(worker_eids[w], ("probe", Probe(job_key, task_id, now, theta,
-                                                 allowance, eid), state), now)
+            send(workers[w], ("probe", Probe(job_key, task_id, now, theta,
+                                             allowance, self), state), now)
 
     def assignment(self, probe, task_id, duration_us, now):
         return ("assign", probe, task_id, duration_us,

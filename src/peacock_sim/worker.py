@@ -55,7 +55,7 @@ class SlotWorker:
     def __init__(self, sim, index):
         self.sim = sim
         self.index = index
-        self.eid = sim.add_entity(self)
+        sim.add_entity(self)
         self.slot = None
         self.finish_us = None
 
@@ -77,7 +77,7 @@ class SlotWorker:
 
     def _reserve(self, probe, now):
         self.slot = probe
-        self.sim.send(probe.scheduler, ("task_request", probe, self.eid), now)
+        self.sim.send(probe.scheduler, ("task_request", probe, self), now)
 
     def _take_reservation(self, probe, what):
         if (probe is None or self.slot is not probe
@@ -88,7 +88,7 @@ class SlotWorker:
     def on_task_assign(self, probe, task_id, duration_us, now):
         self._take_reservation(probe, "task assignment")
         self.finish_us = now + duration_us
-        self.sim.schedule_at(self.finish_us, self.eid,
+        self.sim.schedule_at(self.finish_us, self,
                              ("complete", task_id, duration_us))
 
     def on_task_cancel(self, probe, now):
@@ -228,7 +228,7 @@ class Ring:
     def __init__(self, sim, workers):
         self.sim = sim
         self.workers = workers
-        self.eid = sim.add_entity(self)
+        sim.add_entity(self)
         self.dirty = set()
         for w in workers:
             w.dirty = self.dirty
@@ -259,8 +259,7 @@ class Ring:
             counters["rotation_messages"] += len(batch)
             # Scheduled before the re-arm, so a batch that lands at the
             # next round's instant is delivered before that round.
-            sim.schedule_at(now + sim.net_delay_us, self.eid,
-                            ("round", batch))
+            sim.schedule_at(now + sim.net_delay_us, self, ("round", batch))
         if len(sim.records) < sim.total_jobs:
-            sim.schedule_at(now + sim.config.rotation_interval_us, self.eid,
+            sim.schedule_at(now + sim.config.rotation_interval_us, self,
                             ("round",))

@@ -16,7 +16,6 @@ Files ending in ``.gz`` are transparently decompressed.
 import gzip
 import json
 import math
-import random
 import sys
 import zlib
 from dataclasses import dataclass
@@ -315,6 +314,10 @@ class SyntheticSpec:
         if not 1 <= self.mean_tasks < math.inf:
             raise ValueError("mean_tasks %r is not finite and at least 1"
                              % (self.mean_tasks,))
+        # _sample_tasks divides by this log, which is 0.0 from 2 ** 54 up.
+        if self.mean_tasks > 1 and math.log(1.0 - 1.0 / self.mean_tasks) == 0:
+            raise ValueError("mean_tasks %r is too large to sample a task "
+                             "count from" % (self.mean_tasks,))
         if self.duration_model not in ("lognormal", "two_class"):
             raise ValueError("unknown duration model %r" % self.duration_model)
         if self.duration_model == "lognormal":

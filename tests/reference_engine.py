@@ -34,7 +34,7 @@ class ReferenceSimulation(Simulation):
                     "causality violation: event at %d before clock %d"
                     % (time_us, self.now))
             self.now = time_us
-            self.entities[target].handle(payload, time_us)
+            target.handle(payload, time_us)
             processed += 1
             if processed > self.config.event_cap:
                 raise SimulationError("event cap %d exceeded"

@@ -29,10 +29,10 @@ class ReferenceRing(Ring):
         for i in sorted(self.dirty):
             w = workers[i]
             probes = w.rotate() if w.queue.rotating else ()
-            sim.send(self.eid, ("rotation", (i + 1) % len(workers), probes,
-                                w.known_state), now)
+            sim.send(self, ("rotation", (i + 1) % len(workers), probes,
+                            w.known_state), now)
             sim.counters["rotation_messages"] += 1
         self.dirty.clear()
         if len(sim.records) < sim.total_jobs:
-            sim.schedule_at(now + sim.config.rotation_interval_us, self.eid,
+            sim.schedule_at(now + sim.config.rotation_interval_us, self,
                             ("round",))

@@ -28,7 +28,7 @@ def verdict(num, ok, text):
 
 class Recorder:
     def __init__(self, sim):
-        self.eid = sim.add_entity(self)
+        sim.add_entity(self)
         self.inbox = []
 
     def handle(self, payload, now):
@@ -47,10 +47,9 @@ def test_01_shared_state_micro_oracle():
     admission against a 100-worker scheduler holding (1500, 25000s)."""
     sim = Simulation(SimConfig(workers=100, schedulers=2))
     recorders = [Recorder(sim) for _ in range(100)]
-    sched = PeacockScheduler(sim, 0, [r.eid for r in recorders],
-                             derived_rng(0, "s"))
+    sched = PeacockScheduler(sim, 0, recorders, derived_rng(0, "s"))
     peer = Recorder(sim)
-    sched.peer_eids = [peer.eid]
+    sched.peers = [peer]
 
     # Admit a single 20s task on top of (1499, 24980) to reach the
     # example's starting aggregate of (1500, 25000).
@@ -63,7 +62,7 @@ def test_01_shared_state_micro_oracle():
     sim.run()
     probes = [m[1] for r in recorders for _, m in r.inbox if m[0] == "probe"]
     peer.inbox.clear()
-    sched.handle(("task_request", probes[0], recorders[0].eid), US)
+    sched.handle(("task_request", probes[0], recorders[0]), US)
     sched.handle(("task_finish", probes[0].job_id, 0, 21 * US), 21 * US)
     ok &= (sched.probe_count, sched.load_us) == (1499, 24_980 * US)
     sim.run()

@@ -11,7 +11,7 @@ from peacock_sim.baselines import (LONG_CUTOFF_US, PROBE_RATIO, SRPT_BOUND_US,
                                    EagleCentral, EagleScheduler, EagleWorker,
                                    SparrowScheduler, SparrowWorker)
 from peacock_sim.engine import ProtocolError, SimConfig, Simulation, \
-    SimulationError, derived_rng
+    derived_rng
 from peacock_sim.probes import Probe
 from peacock_sim.workload import Stage, SyntheticSpec, TraceRecord, generate
 
@@ -19,8 +19,9 @@ US = 1_000_000
 
 
 class Recorder:
-    def __init__(self, sim):
-        self.eid = sim.add_entity(self)
+    def __init__(self, sim, index=None):
+        sim.add_entity(self)
+        self.index = index
         self.inbox = []
 
     def handle(self, payload, now):
@@ -55,8 +56,7 @@ def test_sparrow_probe_count_and_exactly_once():
 def test_sparrow_probes_hit_distinct_workers():
     sim = Simulation(SimConfig(workers=10, algo="sparrow"))
     recorders = [Recorder(sim) for _ in range(10)]
-    sched = SparrowScheduler(sim, 0, [r.eid for r in recorders],
-                             derived_rng(1, "s"))
+    sched = SparrowScheduler(sim, 0, recorders, derived_rng(1, "s"))
     sched.on_job_arrival(job("j", [5, 5, 5, 5]), 0)
     sim.run()
     hit = [r for r in recorders if r.inbox]
@@ -67,20 +67,20 @@ class LogRecorder:
     """A worker stand-in that logs into a list shared across workers."""
 
     def __init__(self, sim, log):
-        self.eid = sim.add_entity(self)
+        sim.add_entity(self)
         self.log = log
 
     def handle(self, payload, now):
-        self.log.append((now, self.eid, tuple(
+        self.log.append((now, self, tuple(
             tuple(getattr(x, f) for f in Probe.__slots__)
             if isinstance(x, Probe) else x for x in payload)))
 
 
-def make_baseline_scheduler(algo, sim, worker_eids):
+def make_baseline_scheduler(algo, sim, workers):
     rng = derived_rng(1, "s")
     if algo == "sparrow":
-        return SparrowScheduler(sim, 0, worker_eids, rng)
-    return EagleScheduler(sim, 0, worker_eids, rng, Recorder(sim).eid)
+        return SparrowScheduler(sim, 0, workers, rng)
+    return EagleScheduler(sim, 0, workers, rng, Recorder(sim))
 
 
 def run_two_stages(algo, net_delay_us):
@@ -91,11 +91,11 @@ def run_two_stages(algo, net_delay_us):
                                net_delay_us=net_delay_us))
     log = []
     recorders = [LogRecorder(sim, log) for _ in range(10)]
-    sched = make_baseline_scheduler(algo, sim, [r.eid for r in recorders])
-    sim.schedule_at(net_delay_us, recorders[0].eid, ("early",))
-    sim.schedule_at(0, sched.eid, ("job", job("a", [1, 2, 3])))
-    sim.schedule_at(0, sched.eid, ("job", job("b", [1, 1])))
-    sim.schedule_at(net_delay_us, recorders[1].eid, ("late",))
+    sched = make_baseline_scheduler(algo, sim, recorders)
+    sim.schedule_at(net_delay_us, recorders[0], ("early",))
+    sim.schedule_at(0, sched, ("job", job("a", [1, 2, 3])))
+    sim.schedule_at(0, sched, ("job", job("b", [1, 1])))
+    sim.schedule_at(net_delay_us, recorders[1], ("late",))
     return log, sim.run(), sim.counters["messages"]
 
 
@@ -113,26 +113,14 @@ def test_fan_out_delivers_as_one_send_per_probe(algo, net_delay_us):
     assert events == 2 + PROBE_RATIO * 5 + 2
 
 
-@pytest.mark.parametrize("bad", ["negative", "past the end"])
-@pytest.mark.parametrize("algo", ["sparrow", "eagle"])
-def test_worker_eid_naming_no_entity_is_rejected(algo, bad):
-    sim = Simulation(SimConfig(workers=2, algo=algo))
-    eids = [Recorder(sim).eid for _ in range(2)]
-    # Eagle's central stub and the scheduler take the next eids; this one
-    # is past them.
-    eids.append(-1 if bad == "negative" else len(sim.entities) + 2)
-    with pytest.raises(SimulationError, match="unknown worker entity"):
-        make_baseline_scheduler(algo, sim, eids)
-
-
 def test_sparrow_worker_queue_is_fifo():
     sim = Simulation(SimConfig(workers=1, algo="sparrow", net_delay_us=0))
     sched = Recorder(sim)
     w = SparrowWorker(sim, 0)
-    first = probe(("a", 0), None, 5, scheduler=sched.eid)
+    first = probe(("a", 0), None, 5, scheduler=sched)
     w.handle(("probe", first), 0)
     assert w.slot is first and w.finish_us is None
-    later = [probe(("b", 0), None, 1, scheduler=sched.eid)
+    later = [probe(("b", 0), None, 1, scheduler=sched)
              for _ in range(3)]
     for i, p in enumerate(later):
         w.handle(("probe", p), i + 1)
@@ -157,16 +145,17 @@ def make_eagle_worker(partition="general"):
     sim = Simulation(SimConfig(workers=2, algo="eagle", net_delay_us=0))
     sched = Recorder(sim)
     short_stub = Recorder(sim)
-    w = EagleWorker(sim, 0, partition, short_worker_eids=[short_stub.eid])
-    w.central_eid = sched.eid
+    w = EagleWorker(sim, 0, partition)
+    w.short_workers = [short_stub]
+    w.central = sched
     return sim, w, sched, short_stub
 
 
 def test_eagle_short_probe_resamples_off_long_work():
     sim, w, sched, short_stub = make_eagle_worker()
-    w.handle(("probe", probe(("L", 0), 0, 100, scheduler=sched.eid)), 0)
+    w.handle(("probe", probe(("L", 0), 0, 100, scheduler=sched)), 0)
     assert w.long_count == 1
-    p = probe(("s", 0), None, 2, scheduler=sched.eid)
+    p = probe(("s", 0), None, 2, scheduler=sched)
     w.handle(("probe", p), 1)
     sim.run()
     forwarded = [m for _, m in short_stub.inbox if m[0] == "probe"]
@@ -176,8 +165,8 @@ def test_eagle_short_probe_resamples_off_long_work():
 
 def test_eagle_resample_happens_at_most_once():
     sim, w, sched, short_stub = make_eagle_worker()
-    w.handle(("probe", probe(("L", 0), 0, 100, scheduler=sched.eid)), 0)
-    p = probe(("s", 0), None, 2, scheduler=sched.eid)
+    w.handle(("probe", probe(("L", 0), 0, 100, scheduler=sched)), 0)
+    p = probe(("s", 0), None, 2, scheduler=sched)
     p.resampled = True
     w.handle(("probe", p), 1)
     assert short_stub.inbox == []          # stays despite the long work
@@ -187,29 +176,29 @@ def test_eagle_resample_happens_at_most_once():
 def test_eagle_long_probe_on_short_partition_is_protocol_violation():
     sim, w, sched, _ = make_eagle_worker(partition="short")
     with pytest.raises(ProtocolError):
-        w.handle(("probe", probe(("L", 0), 0, 100, scheduler=sched.eid)), 0)
+        w.handle(("probe", probe(("L", 0), 0, 100, scheduler=sched)), 0)
 
 
 def test_eagle_queue_orders_shortest_first():
     sim, w, sched, _ = make_eagle_worker()
-    w.slot, w.finish_us = probe(("r", 0), 0, 1, scheduler=sched.eid), 10 * US
+    w.slot, w.finish_us = probe(("r", 0), 0, 1, scheduler=sched), 10 * US
     w.handle(("probe", probe(("a", 0), None, 3,
-                             scheduler=sched.eid)), 0)
+                             scheduler=sched)), 0)
     w.handle(("probe", probe(("b", 0), None, 1,
-                             scheduler=sched.eid)), 1)
+                             scheduler=sched)), 1)
     w.handle(("probe", probe(("c", 0), None, 2,
-                             scheduler=sched.eid)), 2)
+                             scheduler=sched)), 2)
     assert [p.runtime_us for p in w.queue] == [1 * US, 2 * US, 3 * US]
 
 
 def test_eagle_starvation_bound_blocks_bypass():
     sim, w, sched, _ = make_eagle_worker()
-    w.slot, w.finish_us = probe(("r", 0), 0, 1, scheduler=sched.eid), 10 * US
+    w.slot, w.finish_us = probe(("r", 0), 0, 1, scheduler=sched), 10 * US
     w.handle(("probe", probe(("old", 0), None, 3,
-                             scheduler=sched.eid)), 0)
+                             scheduler=sched)), 0)
     # 6s later the old probe has aged past the 5 s bound: no more bypassing.
     w.handle(("probe", probe(("new", 0), None, 1,
-                             scheduler=sched.eid)), 6 * US)
+                             scheduler=sched)), 6 * US)
     assert [p.job_id[0] for p in w.queue] == ["old", "new"]
 
 
@@ -221,24 +210,24 @@ def test_eagle_starvation_bound_holds_from_its_exact_instant(waited_us, order):
     # A shorter probe may pass an entry queued less than SRPT_BOUND_US ago,
     # and not one queued exactly that long ago.
     sim, w, sched, _ = make_eagle_worker()
-    w.slot, w.finish_us = probe(("r", 0), 0, 1, scheduler=sched.eid), 10 * US
+    w.slot, w.finish_us = probe(("r", 0), 0, 1, scheduler=sched), 10 * US
     w.handle(("probe", probe(("old", 0), None, 3,
-                             scheduler=sched.eid)), US)
+                             scheduler=sched)), US)
     w.handle(("probe", probe(("new", 0), None, 1,
-                             scheduler=sched.eid)), US + waited_us)
+                             scheduler=sched)), US + waited_us)
     assert [p.job_id[0] for p in w.queue] == order
 
 
 def test_eagle_central_places_least_loaded():
     sim = Simulation(SimConfig(workers=3, algo="eagle", net_delay_us=0))
-    recorders = [Recorder(sim) for _ in range(3)]
+    recorders = [Recorder(sim, index=i) for i in range(3)]
     sched = Recorder(sim)
-    central = EagleCentral(sim, [r.eid for r in recorders])
-    central.handle(("long_stage", ("L", 0), 2, 100 * US, sched.eid), 0)
+    central = EagleCentral(sim, recorders)
+    central.handle(("long_stage", ("L", 0), 2, 100 * US, sched), 0)
     assert central.loads_us == {0: 100 * US, 1: 100 * US, 2: 0}
     central.handle(("long_finish", 0, 100 * US), 5)
-    central.handle(("long_stage", ("M", 0), 1, 50 * US, sched.eid), 10)
-    # Workers 0 and 2 tie at load zero; the eid tie-break picks 0.
+    central.handle(("long_stage", ("M", 0), 1, 50 * US, sched), 10)
+    # Workers 0 and 2 tie at load zero; the index tie-break picks 0.
     assert central.loads_us == {0: 50 * US, 1: 100 * US, 2: 0}
     sim.run()
     assert len([m for _, m in recorders[0].inbox if m[0] == "probe"]) == 2
@@ -249,30 +238,30 @@ def test_eagle_central_places_least_loaded():
 def test_eagle_central_matches_least_loaded_scan(data, general):
     # Two thetas and finishes of placed tasks keep loads tying often.
     sim = Simulation(SimConfig(workers=general + 2, algo="eagle"))
-    for _ in range(2):                      # a short partition first, so
-        Recorder(sim)                       # eids are not list positions
-    eids = [Recorder(sim).eid for _ in range(general)]
-    central = EagleCentral(sim, eids)
+    # Indices 0 and 1 are a short partition, so the general workers'
+    # indices are not their list positions.
+    general_workers = [Recorder(sim, index=2 + i) for i in range(general)]
+    central = EagleCentral(sim, general_workers)
     chosen = []
-    sim.send = lambda target, payload, now: chosen.append(target)
-    loads = {e: 0 for e in eids}
-    running = []                            # (eid, theta) not yet finished
+    sim.send = lambda target, payload, now: chosen.append(target.index)
+    loads = {w.index: 0 for w in general_workers}
+    running = []                            # (index, theta) not yet finished
     for step in range(data.draw(st.integers(1, 40))):
         if running and data.draw(st.booleans()):
-            eid, theta = running.pop(
+            index, theta = running.pop(
                 data.draw(st.integers(0, len(running) - 1)))
-            central.handle(("long_finish", eid, theta), step)
-            loads[eid] -= theta
+            central.handle(("long_finish", index, theta), step)
+            loads[index] -= theta
         else:
             theta = data.draw(st.sampled_from([1, 2]))
             tasks = data.draw(st.integers(1, 3))
             central.handle(("long_stage", ("J", step), tasks, theta, 0), step)
             expected = []
             for _ in range(tasks):
-                eid = min(loads, key=lambda e: (loads[e], e))
-                loads[eid] += theta
-                expected.append(eid)
-                running.append((eid, theta))
+                index = min(loads, key=lambda i: (loads[i], i))
+                loads[index] += theta
+                expected.append(index)
+                running.append((index, theta))
             assert chosen == expected
             chosen.clear()
         assert central.loads_us == loads
@@ -333,7 +322,7 @@ def test_eagle_makes_a_worker_stream_only_when_it_resamples(monkeypatch):
     for index, count in resamples.items():
         fresh = derived_rng(cfg.seed, "eagle-worker", index)
         for _ in range(count):
-            fresh.choice(workers[0].short_worker_eids)
+            fresh.choice(workers[0].short_workers)
         assert workers[index].rng.getstate() == fresh.getstate()
 
 

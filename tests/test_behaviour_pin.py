@@ -188,16 +188,16 @@ def test_config_fields_are_pinned():
         "seed", "algo", "event_cap"]
 
 
-SLOT_STATE = ["eid", "finish_us", "index", "queue", "sim", "slot"]
-SCHEDULER_STATE = ["eid", "jobs", "rng", "sid", "sim", "worker_eids"]
+SLOT_STATE = ["finish_us", "index", "queue", "sim", "slot"]
+SCHEDULER_STATE = ["jobs", "rng", "sid", "sim", "workers"]
 ENTITY_STATE = {
     "peacock": (sorted(SLOT_STATE + ["dirty", "known_state"]),
-                sorted(SCHEDULER_STATE + ["_state", "load_us", "peer_eids",
+                sorted(SCHEDULER_STATE + ["_state", "load_us", "peers",
                                           "probe_count"])),
     "sparrow": (SLOT_STATE, SCHEDULER_STATE),
-    "eagle": (sorted(SLOT_STATE + ["central_eid", "long_count", "partition",
-                                   "rng", "short_worker_eids"]),
-              sorted(SCHEDULER_STATE + ["central_eid"])),
+    "eagle": (sorted(SLOT_STATE + ["central", "long_count", "partition",
+                                   "rng", "short_workers"]),
+              sorted(SCHEDULER_STATE + ["central"])),
 }
 
 
@@ -205,7 +205,7 @@ ENTITY_STATE = {
 def test_entity_state_attributes_are_pinned(algo):
     # Each fact has one owner; a second copy of one has to be added here
     # too.  Built through the driver, since _build_eagle sets a worker's
-    # central_eid after EagleWorker.__init__.
+    # short_workers and central after EagleWorker.__init__.
     config = SimConfig(workers=4, algo=algo)
     sim = Simulation(config)
     workers, schedulers = driver._BUILDERS[algo](sim, config)
@@ -220,7 +220,8 @@ def test_job_state_slots_are_pinned():
 
 
 def test_probe_slots_are_pinned():
-    # A probe's key is derived from job_id and task_id, not kept.
+    # A probe holds no (job, task) key; reference_queue.probe_key derives
+    # one for the tests that need it.
     assert Probe.__slots__ == (
         "job_id", "task_id", "arrival_us", "runtime_us", "allowance_us",
         "deadline_us", "rotations", "scheduler", "resampled", "enqueued_us")

@@ -1,7 +1,8 @@
 """The package stays pure Python with no runtime dependencies: pyproject
 declares none, and every absolute import in ``src/peacock_sim`` names a
-standard-library module.  The sources are read with ``ast``, not
-imported, so a third-party import fails here even where it is installed."""
+standard-library module.  Every name a module imports is used there.  The
+sources are read with ``ast``, not imported, so a third-party import fails
+here even where it is installed."""
 
 import ast
 import sys
@@ -40,3 +41,35 @@ def test_package_imports_only_the_standard_library():
                for name in absolute_imports(path)
                if name not in sys.stdlib_module_names}
     assert outside == set()
+
+
+def imported_names(tree):
+    """The names that the imports in ``tree`` bind."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0]
+
+
+def used_names(tree):
+    """Every name ``tree`` reads or binds (the base of an attribute, as in
+    ``math.log``, is a name too), and the strings of its ``__all__``."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def test_package_uses_every_name_it_imports():
+    unused = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = used_names(tree)
+        unused |= {(path.name, name) for name in imported_names(tree)
+                   if name not in used}
+    assert unused == set()

@@ -15,7 +15,7 @@ US = 1_000_000
 
 class Recorder:
     def __init__(self, sim):
-        self.eid = sim.add_entity(self)
+        sim.add_entity(self)
         self.inbox = []
 
     def handle(self, payload, now):
@@ -25,7 +25,7 @@ class Recorder:
 def test_send_adds_network_delay():
     sim = Simulation(SimConfig(workers=1, net_delay_us=5_000))
     r = Recorder(sim)
-    sim.send(r.eid, ("x",), now_us=10)
+    sim.send(r, ("x",), now_us=10)
     sim.run()
     assert r.inbox == [(5_010, ("x",))]
     assert sim.counters["messages"] == 1
@@ -34,7 +34,7 @@ def test_send_adds_network_delay():
 def test_timers_have_no_delay_and_are_not_messages():
     sim = Simulation(SimConfig(workers=1, net_delay_us=5_000))
     r = Recorder(sim)
-    sim.schedule_at(42, r.eid, ("t",))
+    sim.schedule_at(42, r, ("t",))
     sim.run()
     assert r.inbox == [(42, ("t",))]
     assert sim.counters["messages"] == 0
@@ -44,29 +44,23 @@ def test_same_instant_events_delivered_in_send_order():
     sim = Simulation(SimConfig(workers=1, net_delay_us=0))
     r = Recorder(sim)
     for tag in ("a", "b", "c"):
-        sim.send(r.eid, (tag,), now_us=7)
+        sim.send(r, (tag,), now_us=7)
     sim.run()
     assert [m for _, m in r.inbox] == [("a",), ("b",), ("c",)]
-
-
-def test_send_to_unknown_entity_fails():
-    sim = Simulation(SimConfig(workers=1))
-    with pytest.raises(SimulationError):
-        sim.send(3, ("x",), 0)
 
 
 def test_event_cap_guards_against_runaway():
     class Pingback:
         def __init__(self, sim):
             self.sim = sim
-            self.eid = sim.add_entity(self)
+            sim.add_entity(self)
 
         def handle(self, payload, now):
-            self.sim.schedule_at(now + 1, self.eid, payload)
+            self.sim.schedule_at(now + 1, self, payload)
 
     sim = Simulation(SimConfig(workers=1, event_cap=50))
     p = Pingback(sim)
-    sim.schedule_at(0, p.eid, ("loop",))
+    sim.schedule_at(0, p, ("loop",))
     with pytest.raises(SimulationError):
         sim.run()
 
@@ -78,7 +72,7 @@ def test_event_cap_is_the_most_events_a_run_may_handle():
         sim = Simulation(SimConfig(workers=1, event_cap=cap))
         r = Recorder(sim)
         for t in range(5):
-            sim.schedule_at(t, r.eid, ("t",))
+            sim.schedule_at(t, r, ("t",))
         return sim
 
     assert five_timers(5).run() == 5
@@ -89,9 +83,9 @@ def test_event_cap_is_the_most_events_a_run_may_handle():
 def test_event_before_the_clock_after_a_run_is_a_causality_violation():
     sim = Simulation(SimConfig(workers=1))
     r = Recorder(sim)
-    sim.schedule_at(10, r.eid, ("t",))
+    sim.schedule_at(10, r, ("t",))
     sim.run()
-    sim.schedule_at(9, r.eid, ("late",))
+    sim.schedule_at(9, r, ("late",))
     with pytest.raises(SimulationError, match="causality violation: "
                        "event at 9 before clock 10"):
         sim.run()
@@ -102,15 +96,15 @@ def test_event_before_the_clock_from_a_handler_is_a_causality_violation():
     class Backdater:
         def __init__(self, sim):
             self.sim = sim
-            self.eid = sim.add_entity(self)
+            sim.add_entity(self)
 
         def handle(self, payload, now):
             if payload == ("now",):
-                self.sim.schedule_at(now - 1, self.eid, ("past",))
+                self.sim.schedule_at(now - 1, self, ("past",))
 
     sim = Simulation(SimConfig(workers=1))
     b = Backdater(sim)
-    sim.schedule_at(20, b.eid, ("now",))
+    sim.schedule_at(20, b, ("now",))
     with pytest.raises(SimulationError, match="causality violation: "
                        "event at 19 before clock 20"):
         sim.run()
@@ -125,7 +119,7 @@ class Tap:
     """Logs ``(now, name, payload tag)`` into a log shared by several taps."""
 
     def __init__(self, sim, log, name):
-        self.eid = sim.add_entity(self)
+        sim.add_entity(self)
         self.log = log
         self.name = name
 
@@ -138,7 +132,7 @@ class Script:
     handler at a chosen instant."""
 
     def __init__(self, sim):
-        self.eid = sim.add_entity(self)
+        sim.add_entity(self)
 
     def handle(self, payload, now):
         payload[1](now)
@@ -154,16 +148,16 @@ def test_handler_sends_arrive_in_send_order_among_same_instant_events():
     sim, log, a, b, script = two_taps()
 
     def fan_out(now):
-        sim.send(a.eid, ("m1",), now)
-        sim.send(b.eid, ("m2",), now)
-        sim.send(a.eid, ("m3",), now)
+        sim.send(a, ("m1",), now)
+        sim.send(b, ("m2",), now)
+        sim.send(a, ("m3",), now)
 
     def later(now):
-        sim.schedule_at(D, b.eid, ("after",))
+        sim.schedule_at(D, b, ("after",))
 
-    sim.schedule_at(D, a.eid, ("before",))
-    sim.schedule_at(0, script.eid, ("run", fan_out))
-    sim.schedule_at(1, script.eid, ("run", later))
+    sim.schedule_at(D, a, ("before",))
+    sim.schedule_at(0, script, ("run", fan_out))
+    sim.schedule_at(1, script, ("run", later))
     assert sim.run() == 7
     assert log == [(D, "a", "before"), (D, "a", "m1"), (D, "b", "m2"),
                    (D, "a", "m3"), (D, "b", "after")]
@@ -173,12 +167,12 @@ def test_timer_due_with_the_sends_is_delivered_between_them():
     sim, log, a, b, script = two_taps()
 
     def sends_around_timers(now):
-        sim.send(a.eid, ("m1",), now)
-        sim.schedule_at(now + D, b.eid, ("timer",))
-        sim.schedule_at(now + 1, b.eid, ("early",))
-        sim.send(a.eid, ("m2",), now)
+        sim.send(a, ("m1",), now)
+        sim.schedule_at(now + D, b, ("timer",))
+        sim.schedule_at(now + 1, b, ("early",))
+        sim.send(a, ("m2",), now)
 
-    sim.schedule_at(10, script.eid, ("run", sends_around_timers))
+    sim.schedule_at(10, script, ("run", sends_around_timers))
     sim.run()
     assert log == [(11, "b", "early"), (10 + D, "a", "m1"),
                    (10 + D, "b", "timer"), (10 + D, "a", "m2")]
@@ -188,14 +182,14 @@ def test_zero_delay_send_from_a_handler_follows_the_rest_of_its_instant():
     sim, log, a, b, script = two_taps(net_delay_us=0)
 
     def echo(now):
-        sim.send(a.eid, ("echo",), now)
+        sim.send(a, ("echo",), now)
 
     def fan_out(now):
-        sim.send(script.eid, ("run", echo), now)
-        sim.send(a.eid, ("m1",), now)
-        sim.send(b.eid, ("m2",), now)
+        sim.send(script, ("run", echo), now)
+        sim.send(a, ("m1",), now)
+        sim.send(b, ("m2",), now)
 
-    sim.schedule_at(3, script.eid, ("run", fan_out))
+    sim.schedule_at(3, script, ("run", fan_out))
     sim.run()
     assert log == [(3, "a", "m1"), (3, "b", "m2"), (3, "a", "echo")]
 
@@ -205,12 +199,12 @@ def test_run_counts_messages_handled_and_can_resume():
 
     def fan_out(now):
         for _ in range(3):
-            sim.send(a.eid, ("m",), now)
+            sim.send(a, ("m",), now)
 
-    sim.schedule_at(0, script.eid, ("run", fan_out))
+    sim.schedule_at(0, script, ("run", fan_out))
     assert sim.run() == 4
     # Scheduled outside run(), at what is now + delay: still delivered.
-    sim.schedule_at(sim.now + D, b.eid, ("late",))
+    sim.schedule_at(sim.now + D, b, ("late",))
     assert sim.run() == 1
     assert log[-1] == (2 * D, "b", "late")
 
@@ -219,15 +213,15 @@ def test_event_cap_trips_on_a_fan_out():
     class Doubler:
         def __init__(self, sim):
             self.sim = sim
-            self.eid = sim.add_entity(self)
+            sim.add_entity(self)
 
         def handle(self, payload, now):
-            self.sim.send(self.eid, payload, now)
-            self.sim.send(self.eid, payload, now)
+            self.sim.send(self, payload, now)
+            self.sim.send(self, payload, now)
 
     sim = Simulation(SimConfig(workers=1, event_cap=50))
     d = Doubler(sim)
-    sim.schedule_at(0, d.eid, ("grow",))
+    sim.schedule_at(0, d, ("grow",))
     with pytest.raises(SimulationError, match="event cap 50"):
         sim.run()
 

@@ -57,29 +57,33 @@ def scripts(draw):
 class Actor:
     """Logs every event, then acts out its script for the event's step.
     Each new event carries a fresh uid, drawn in handling order, so a
-    different order shows in the log even between equal actions."""
+    different order shows in the log even between equal actions.  A
+    script names actors by their index in the shared ``actors`` list."""
 
-    def __init__(self, sim, log, script, uids):
+    def __init__(self, sim, index, actors, log, script, uids):
         self.sim = sim
-        self.eid = sim.add_entity(self)
+        sim.add_entity(self)
+        self.index = index
+        self.actors = actors
         self.log = log
         self.script = script
         self.uids = uids
 
     def handle(self, payload, now):
-        self.log.append((now, self.eid, payload))
+        self.log.append((now, self.index, payload))
         _uid, step = payload
         if step == len(self.script):
             return
         sim = self.sim
-        for action in self.script[step][self.eid]:
+        for action in self.script[step][self.index]:
             new = (next(self.uids), step + 1)
+            target = self.actors[action[1]]
             if action[0] == "send":
-                sim.send(action[1], new, now)
+                sim.send(target, new, now)
             elif action[2] == "delay":
-                sim.schedule_at(now + sim.net_delay_us, action[1], new)
+                sim.schedule_at(now + sim.net_delay_us, target, new)
             else:
-                sim.schedule_at(now + action[2], action[1], new)
+                sim.schedule_at(now + action[2], target, new)
 
 
 def play(engine, case):
@@ -87,12 +91,14 @@ def play(engine, case):
     sim = engine(SimConfig(net_delay_us=delay))
     log = []
     uids = itertools.count()
-    for _ in range(ACTORS):
-        Actor(sim, log, script, uids)
+    actors = []
+    for i in range(ACTORS):
+        actors.append(Actor(sim, i, actors, log, script, uids))
     totals = []
     for wave in (first, second):
         for offset, target in wave:
-            sim.schedule_at(sim.now + offset, target, (next(uids), 0))
+            sim.schedule_at(sim.now + offset, actors[target],
+                            (next(uids), 0))
         totals.append(sim.run())
     return log, totals, sim.now, sim.counters["messages"]
 

@@ -5,7 +5,8 @@ network delay after the round; the reference sends one ``rotation``
 message per dirty worker.  Peacock runs on tiny systems through ``driver``
 with each ring must give the same reports, job records and counters, and
 must send every other message at the same instant, to the same entity, in
-the same order and with the same fields (a probe as its key).  The systems
+the same order and with the same fields (a probe as its key, an entity as
+its index or sid).  The systems
 are ``tied_systems`` with idle gaps of many rotation intervals, and their
 network delays include 0, below the interval, equal to it and twice it, so
 that a round's hand-offs often land at the instant of a later round, of a
@@ -19,10 +20,24 @@ from hypothesis import given, settings
 from peacock_sim import driver
 from peacock_sim.engine import SimConfig, Simulation
 from peacock_sim.probes import Probe
+from peacock_sim.scheduler import PeacockScheduler
+from peacock_sim.worker import PeacockWorker
 from reference_queue import probe_key
 from reference_ring import ReferenceRing
 from test_engine_reference import tied_systems
 from test_system_properties import serialized
+
+
+def label(x):
+    """``x`` as it can be compared across runs: a probe as its key, a worker
+    or a scheduler as its index or sid."""
+    if isinstance(x, Probe):
+        return probe_key(x)
+    if isinstance(x, PeacockWorker):
+        return ("worker", x.index)
+    if isinstance(x, PeacockScheduler):
+        return ("scheduler", x.sid)
+    return x
 
 
 def run_peacock(config, jobs):
@@ -33,8 +48,8 @@ def run_peacock(config, jobs):
 
     def recording_send(sim, target, payload, now_us):
         if payload[0] != "rotation":
-            sends.append((now_us, target) + tuple(
-                probe_key(x) if isinstance(x, Probe) else x for x in payload))
+            sends.append((now_us, label(target))
+                         + tuple(label(x) for x in payload))
         return send(sim, target, payload, now_us)
 
     with mock.patch.object(Simulation, "send", recording_send):

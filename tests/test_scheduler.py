@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peacock_sim import driver
 from peacock_sim.baselines import EagleScheduler, SparrowScheduler
 from peacock_sim.driver import run_simulation
-from peacock_sim.engine import (ProtocolError, SimConfig, Simulation,
+from peacock_sim.engine import (ALGOS, ProtocolError, SimConfig, Simulation,
                                 SimulationError, derived_rng)
 from peacock_sim.metrics import JobRecord
 from peacock_sim.probes import Probe, SharedState
@@ -24,7 +25,7 @@ US = 1_000_000
 
 class Recorder:
     def __init__(self, sim):
-        self.eid = sim.add_entity(self)
+        sim.add_entity(self)
         self.inbox = []
 
     def handle(self, payload, now):
@@ -34,12 +35,11 @@ class Recorder:
 def make_scheduler(workers=100, with_peer=False, seed=3):
     sim = Simulation(SimConfig(workers=workers, schedulers=2, seed=seed))
     recorders = [Recorder(sim) for _ in range(workers)]
-    sched = PeacockScheduler(sim, 0, [r.eid for r in recorders],
-                             derived_rng(seed, "sched", 0))
+    sched = PeacockScheduler(sim, 0, recorders, derived_rng(seed, "sched", 0))
     peer = None
     if with_peer:
         peer = Recorder(sim)
-        sched.peer_eids = [peer.eid]
+        sched.peers = [peer]
     return sim, sched, recorders, peer
 
 
@@ -138,7 +138,7 @@ def test_finish_updates_aggregate_and_broadcasts():
     probes = [m[1] for r in recorders for _, m in r.inbox if m[0] == "probe"]
     assert len(probes) == 1
     peer.inbox.clear()
-    sched.handle(("task_request", probes[0], recorders[0].eid), 1 * US)
+    sched.handle(("task_request", probes[0], recorders[0]), 1 * US)
     sched.handle(("task_finish", probes[0].job_id, 0, 21 * US), 21 * US)
     assert (sched.probe_count, sched.load_us) == (1499, 24_980 * US)
     sim.run()
@@ -174,7 +174,7 @@ def test_finish_of_an_aggregate_a_peer_already_drained_is_a_protocol_error():
     (probe,) = [m[1] for r in recorders for _, m in r.inbox
                 if m[0] == "probe"]
     sched.on_peer_update(-1, -20 * US)
-    sched.handle(("task_request", probe, recorders[0].eid), 1 * US)
+    sched.handle(("task_request", probe, recorders[0]), 1 * US)
     peer.inbox.clear()
     with pytest.raises(ProtocolError, match="below zero"):
         sched.handle(("task_finish", probe.job_id, 0, 21 * US), 21 * US)
@@ -271,11 +271,11 @@ class LogRecorder:
     """A worker stand-in that logs into a list shared across workers."""
 
     def __init__(self, sim, log):
-        self.eid = sim.add_entity(self)
+        sim.add_entity(self)
         self.log = log
 
     def handle(self, payload, now):
-        self.log.append((now, self.eid, tuple(
+        self.log.append((now, self, tuple(
             tuple(getattr(x, f) for f in Probe.__slots__)
             if isinstance(x, Probe) else x for x in payload)))
 
@@ -287,12 +287,11 @@ def run_two_stages(net_delay_us):
     sim = Simulation(SimConfig(workers=6, net_delay_us=net_delay_us))
     log = []
     recorders = [LogRecorder(sim, log) for _ in range(6)]
-    sched = PeacockScheduler(sim, 0, [r.eid for r in recorders],
-                             derived_rng(3, "sched", 0))
-    sim.schedule_at(net_delay_us, recorders[0].eid, ("early",))
-    sim.schedule_at(0, sched.eid, ("job", job("a", [2, 4, 6])))
-    sim.schedule_at(0, sched.eid, ("job", job("b", [1, 1])))
-    sim.schedule_at(net_delay_us, recorders[1].eid, ("late",))
+    sched = PeacockScheduler(sim, 0, recorders, derived_rng(3, "sched", 0))
+    sim.schedule_at(net_delay_us, recorders[0], ("early",))
+    sim.schedule_at(0, sched, ("job", job("a", [2, 4, 6])))
+    sim.schedule_at(0, sched, ("job", job("b", [1, 1])))
+    sim.schedule_at(net_delay_us, recorders[1], ("late",))
     return log, sim.run(), sim.counters["messages"]
 
 
@@ -310,28 +309,16 @@ def test_fan_out_delivers_as_one_send_per_probe(net_delay_us):
     assert events == 2 + 5 + 2
 
 
-# -- wiring ------------------------------------------------------------------
-
-@pytest.mark.parametrize("bad", ["negative", "past the end"])
-def test_worker_eid_naming_no_entity_is_rejected(bad):
-    sim = Simulation(SimConfig(workers=2))
-    eids = [Recorder(sim).eid for _ in range(2)]
-    # The scheduler itself takes the next eid; the one after names nothing.
-    eids.append(-1 if bad == "negative" else len(sim.entities) + 1)
-    with pytest.raises(SimulationError, match="unknown worker entity"):
-        PeacockScheduler(sim, 0, eids, derived_rng(3, "sched", 0))
-
-
 # -- dispatch ----------------------------------------------------------------
 
 def launch_all(sim, sched, recorders):
     sim.run()
-    probes = [(m[1], r.eid) for r in recorders
+    probes = [(m[1], r) for r in recorders
               for _, m in r.inbox if m[0] == "probe"]
     for r in recorders:
         r.inbox.clear()
-    for p, eid in probes:
-        sched.handle(("task_request", p, eid), sim.now)
+    for p, worker in probes:
+        sched.handle(("task_request", p, worker), sim.now)
     return [p for p, _ in probes]
 
 
@@ -340,7 +327,7 @@ def test_duplicate_task_request_is_protocol_violation():
     sched.on_job_arrival(job("j", [5]), now=0)
     probes = launch_all(sim, sched, recorders)
     with pytest.raises(ProtocolError):
-        sched.handle(("task_request", probes[0], recorders[0].eid), sim.now)
+        sched.handle(("task_request", probes[0], recorders[0]), sim.now)
 
 
 def test_finish_of_unlaunched_task_is_protocol_violation():
@@ -392,30 +379,29 @@ def test_late_binding_takes_the_first_unlaunched_task(algo):
     # stage of 1 s tasks is short, so it is sampled as in Sparrow.
     sim = Simulation(SimConfig(workers=6, algo=algo))
     recorders = [Recorder(sim) for _ in range(6)]
-    eids = [r.eid for r in recorders]
     rng = derived_rng(3, "sched", 0)
-    sched = (SparrowScheduler(sim, 0, eids, rng) if algo == "sparrow"
-             else EagleScheduler(sim, 0, eids, rng, Recorder(sim).eid))
+    sched = (SparrowScheduler(sim, 0, recorders, rng) if algo == "sparrow"
+             else EagleScheduler(sim, 0, recorders, rng, Recorder(sim)))
     sched.on_job_arrival(job("j", [1, 1, 1]), now=0)
     sim.run()
-    probes = [(r.eid, m[1]) for r in recorders for _, m in r.inbox
+    probes = [(r, m[1]) for r in recorders for _, m in r.inbox
               if m[0] == "probe"]
     assert len(probes) == 6
     assert all(p.task_id is None for _, p in probes)
     probes.reverse()
-    for task_id, (eid, p) in enumerate(probes[:3]):
-        sched.handle(("task_request", p, eid), sim.now)
+    for task_id, (worker, p) in enumerate(probes[:3]):
+        sched.handle(("task_request", p, worker), sim.now)
         sim.run()
-        assert sim.entities[eid].inbox[-1][1] == ("assign", p, task_id, US)
+        assert worker.inbox[-1][1] == ("assign", p, task_id, US)
         if task_id == 0:
             sched.handle(("task_finish", ("j", 0), 0, sim.now), sim.now)
     assert sched.jobs["j"].launched[0] == bytearray([2, 1, 1])
-    eid, fourth = probes[3]
+    worker, fourth = probes[3]
     cancelled = sim.counters["probes_cancelled"]
-    sched.handle(("task_request", fourth, eid), sim.now)
+    sched.handle(("task_request", fourth, worker), sim.now)
     assert sim.counters["probes_cancelled"] == cancelled + 1
     sim.run()
-    assert sim.entities[eid].inbox[-1][1] == ("cancel", fourth)
+    assert worker.inbox[-1][1] == ("cancel", fourth)
     assert sched.jobs["j"] is not None
 
 
@@ -424,28 +410,27 @@ def test_late_binding_takes_the_first_unlaunched_task(algo):
 def complete_one_task_job(algo, duration_s):
     """Admit job "j" of one task to a scheduler of ``algo``, launch the task
     with the job's first probe and finish it.  Returns the simulation, the
-    scheduler and every probe of the job as ``(worker eid, probe)``."""
+    scheduler and every probe of the job as ``(worker, probe)``."""
     if algo == "peacock":
         sim, sched, recorders, _ = make_scheduler(workers=4)
     else:
         sim = Simulation(SimConfig(workers=4, algo=algo))
         recorders = [Recorder(sim) for _ in range(4)]
-        eids = [r.eid for r in recorders]
         rng = derived_rng(3, "sched", 0)
-        sched = (SparrowScheduler(sim, 0, eids, rng) if algo == "sparrow"
-                 else EagleScheduler(sim, 0, eids, rng, Recorder(sim).eid))
+        sched = (SparrowScheduler(sim, 0, recorders, rng) if algo == "sparrow"
+                 else EagleScheduler(sim, 0, recorders, rng, Recorder(sim)))
     sched.on_job_arrival(job("j", [duration_s]), now=0)
     sim.run()
-    probes = [(r.eid, m[1]) for r in recorders for _, m in r.inbox
+    probes = [(r, m[1]) for r in recorders for _, m in r.inbox
               if m[0] == "probe"]
     if not probes:
         # An Eagle long stage went to the central placer, which binds its
         # probe to the task.
-        probes = [(recorders[0].eid,
-                   Probe(("j", 0), 0, 0, duration_s * US, 0, sched.eid))]
-    eid, first = probes[0]
+        probes = [(recorders[0],
+                   Probe(("j", 0), 0, 0, duration_s * US, 0, sched))]
+    worker, first = probes[0]
     now = sim.now
-    sched.handle(("task_request", first, eid), now)
+    sched.handle(("task_request", first, worker), now)
     sched.handle(("task_finish", ("j", 0), 0, now + duration_s * US),
                  now + duration_s * US)
     assert len(sim.records) == 1
@@ -455,21 +440,21 @@ def complete_one_task_job(algo, duration_s):
 
 def test_surplus_probe_of_a_finished_job_is_cancelled():
     sim, sched, probes = complete_one_task_job("sparrow", 5)
-    eid, surplus = probes[1]
+    worker, surplus = probes[1]
     cancelled = sim.counters["probes_cancelled"]
-    sched.handle(("task_request", surplus, eid), sim.now)
+    sched.handle(("task_request", surplus, worker), sim.now)
     assert sim.counters["probes_cancelled"] == cancelled + 1
     sim.run()
-    assert sim.entities[eid].inbox[-1][1] == ("cancel", surplus)
+    assert worker.inbox[-1][1] == ("cancel", surplus)
 
 
 @pytest.mark.parametrize("algo, duration_s", [("peacock", 5), ("eagle", 10)])
 def test_bound_probe_of_a_finished_job_is_already_launched(algo, duration_s):
     sim, sched, probes = complete_one_task_job(algo, duration_s)
-    eid, first = probes[0]
+    worker, first = probes[0]
     with pytest.raises(ProtocolError,
                        match=r"task \(0, 0\) of job 'j' already launched"):
-        sched.handle(("task_request", first, eid), sim.now)
+        sched.handle(("task_request", first, worker), sim.now)
 
 
 @pytest.mark.parametrize("algo", ["peacock", "sparrow", "eagle"])
@@ -481,11 +466,12 @@ def test_finish_for_a_finished_job_is_a_double_finish(algo):
 
 
 def test_job_never_admitted_is_unknown_after_others_finish():
-    sim, sched, _ = complete_one_task_job("peacock", 5)
-    stranger = Probe(("k", 0), 0, 0, 5 * US, 0, sched.eid)
+    sim, sched, probes = complete_one_task_job("peacock", 5)
+    stranger = Probe(("k", 0), 0, 0, 5 * US, 0, sched)
+    worker, _ = probes[0]
     with pytest.raises(ProtocolError,
                        match="task request for unknown job 'k'"):
-        sched.handle(("task_request", stranger, 0), sim.now)
+        sched.handle(("task_request", stranger, worker), sim.now)
     with pytest.raises(ProtocolError, match="finish for unknown job 'k'"):
         sched.handle(("task_finish", ("k", 0), 0, sim.now), sim.now)
 
@@ -504,6 +490,73 @@ def test_quiescence_rejects_a_job_state_never_released(algo, monkeypatch):
                        match="scheduler 0 still holds the state of job 'j'"):
         run_simulation(SimConfig(workers=2, schedulers=1, algo=algo),
                        [job("j", [5])])
+
+
+def built(algo):
+    """A system of ``algo`` as the driver builds it, before any event: it
+    passes the end-of-run checks."""
+    config = SimConfig(workers=4, schedulers=2, algo=algo)
+    sim = Simulation(config)
+    workers, schedulers = driver._BUILDERS[algo](sim, config)
+    driver._check_quiescence(sim, workers, schedulers)
+    return sim, workers, schedulers
+
+
+def stray_probe(schedulers):
+    return Probe(("j", 0), 0, 0, US, 0, schedulers[0])
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_quiescence_rejects_incomplete_jobs(algo):
+    sim, workers, schedulers = built(algo)
+    sim.total_jobs = 2
+    sim.records.append(JobRecord("a", 0, 0, 0))
+    with pytest.raises(SimulationError,
+                       match="run ended with 1 of 2 jobs incomplete"):
+        driver._check_quiescence(sim, workers, schedulers)
+
+
+@pytest.mark.parametrize("field", ["probe_count", "load_us"])
+def test_quiescence_rejects_an_undrained_peacock_aggregate(field):
+    sim, workers, schedulers = built("peacock")
+    setattr(schedulers[1], field, 1)
+    with pytest.raises(SimulationError,
+                       match="scheduler 1 aggregate not drained"):
+        driver._check_quiescence(sim, workers, schedulers)
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_quiescence_rejects_a_slot_not_idle(algo):
+    sim, workers, schedulers = built(algo)
+    workers[2].slot = stray_probe(schedulers)
+    with pytest.raises(SimulationError,
+                       match="worker 2 not idle at quiescence"):
+        driver._check_quiescence(sim, workers, schedulers)
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_quiescence_rejects_a_queued_probe(algo):
+    sim, workers, schedulers = built(algo)
+    queue = workers[3].queue
+    (queue.entries if algo == "peacock" else queue).append(
+        stray_probe(schedulers))
+    with pytest.raises(SimulationError, match="worker 3 still holds probes"):
+        driver._check_quiescence(sim, workers, schedulers)
+
+
+def test_quiescence_rejects_a_probe_left_rotating():
+    sim, workers, schedulers = built("peacock")
+    workers[1].queue.rotating.append(stray_probe(schedulers))
+    with pytest.raises(SimulationError, match="worker 1 still holds probes"):
+        driver._check_quiescence(sim, workers, schedulers)
+
+
+@pytest.mark.parametrize("algo", ALGOS)
+def test_quiescence_rejects_a_launch_finish_mismatch(algo):
+    sim, workers, schedulers = built(algo)
+    sim.counters["tasks_launched"] += 1
+    with pytest.raises(SimulationError, match="launch/finish mismatch"):
+        driver._check_quiescence(sim, workers, schedulers)
 
 
 # -- DAG stage ordering ------------------------------------------------------

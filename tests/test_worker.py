@@ -20,7 +20,7 @@ class Recorder:
     """Stand-in entity that just logs everything sent to it."""
 
     def __init__(self, sim):
-        self.eid = sim.add_entity(self)
+        sim.add_entity(self)
         self.inbox = []
 
     def handle(self, payload, now):
@@ -71,23 +71,23 @@ def probe(job, task=0, lam=0, theta=5, mu=100, scheduler=None):
 def run_busy(worker, sched, finish_s=500):
     """Occupy the slot with a task running until ``finish_s``, so that
     arriving probes queue or rotate."""
-    worker.slot = probe("r", scheduler=sched.eid)
+    worker.slot = probe("r", scheduler=sched)
     worker.finish_us = finish_s * US
 
 
 def test_idle_worker_reserves_and_requests_task():
     sim, worker, sched, _ = make_worker()
-    p = probe("j", scheduler=sched.eid)
+    p = probe("j", scheduler=sched)
     worker.handle(("probe", p, state(5, 100)), 0)
     assert worker.slot is p and worker.finish_us is None
     drain(sim)
-    assert sched.inbox == [(5_000, ("task_request", p, worker.eid))]
+    assert sched.inbox == [(5_000, ("task_request", p, worker))]
 
 
 def test_busy_worker_enqueues_without_message():
     sim, worker, sched, _ = make_worker()
     run_busy(worker, sched, finish_s=50)
-    p = probe("j", scheduler=sched.eid)
+    p = probe("j", scheduler=sched)
     worker.handle(("probe", p, state(5, 100)), 10 * US)
     assert worker.queue.entries == [p]
     drain(sim)
@@ -97,7 +97,7 @@ def test_busy_worker_enqueues_without_message():
 def test_tight_quota_sends_probe_to_rotating_buffer():
     sim, worker, sched, _ = make_worker()
     run_busy(worker, sched, finish_s=50)
-    p = probe("j", scheduler=sched.eid)
+    p = probe("j", scheduler=sched)
     worker.handle(("probe", p, state(1, 1000)), 10 * US)
     assert worker.queue.entries == []
     assert worker.queue.rotating == [p]
@@ -138,7 +138,7 @@ def test_rotate_sends_each_jobs_probes_together_as_the_same_objects():
     successor = ring.workers[1]
     log = record_rotations(ring)
     run_busy(worker, sched)
-    a0, b0, a1 = (probe(job, task=task, scheduler=sched.eid)
+    a0, b0, a1 = (probe(job, task=task, scheduler=sched)
                   for job, task in (("a", 0), ("b", 0), ("a", 1)))
     s = state(1, 10_000)
     for p in (a0, b0, a1):
@@ -188,7 +188,7 @@ def test_ring_round_sends_only_from_workers_with_probes_or_news_in_order():
     log = record_rotations(ring)
     workers[3].adopt_shared_state(state(5, 100, version=(2 * US, 0)))
     run_busy(workers[1], sched)
-    p = probe("j", scheduler=sched.eid)
+    p = probe("j", scheduler=sched)
     workers[1].handle(("probe", p, state(1, 10_000)), 1 * US)
     assert workers[1].queue.rotating == [p]
     ring.handle(("round",), 3 * US)
@@ -216,7 +216,7 @@ def test_ring_round_with_k_dirty_workers_is_one_event_and_k_messages():
     sim.schedule_at = recording
     ring.handle(("round",), 3 * US)
     # One batch of three hand-offs; no job is pending, so no re-arm.
-    assert scheduled == [(3 * US + 5_000, ring.eid, "round", 2)]
+    assert scheduled == [(3 * US + 5_000, ring, "round", 2)]
     assert sim.counters["messages"] == sim.counters["rotation_messages"] == 3
     assert sim.run() == 1
     assert ring.dirty == {1, 4}
@@ -234,7 +234,7 @@ def test_probe_convoy_moves_one_worker_per_round_and_drops_one_probe():
     workers = [PeacockWorker(sim, i) for i in range(6)]
     ring = Ring(sim, workers)
     run_busy(workers[0], sched)
-    pack = [probe(job, scheduler=sched.eid) for job in "abcde"]
+    pack = [probe(job, scheduler=sched) for job in "abcde"]
     tight = state(1, 10_000)
     for p in pack:
         workers[0].handle(("probe", p, tight), 10 * US)
@@ -270,7 +270,7 @@ def test_rotation_with_stale_state_changes_nothing(monkeypatch, version):
     sim, worker, sched, ring = make_worker()
     run_busy(worker, sched)
     known = state(10, 10_000, version=(2 * US, 0))
-    queued = [probe("j", task=t, mu=10_000, scheduler=sched.eid)
+    queued = [probe("j", task=t, mu=10_000, scheduler=sched)
               for t in range(3)]
     for p in queued:
         worker.handle(("probe", p, known), 10 * US)
@@ -303,12 +303,12 @@ def test_sent_rotation_probes_are_not_the_live_buffer(buffered):
     tight = state(1, 10_000, version=(1 * US, 0))
     # Fresh news makes the worker send even with an empty buffer.
     worker.adopt_shared_state(tight)
-    first = [probe("a", task=t, scheduler=sched.eid) for t in range(buffered)]
+    first = [probe("a", task=t, scheduler=sched) for t in range(buffered)]
     for p in first:
         worker.handle(("probe", p, tight), 10 * US)
     ring.handle(("round",), 11 * US)
     # A probe bounced into the buffer after the send, before delivery.
-    late = probe("b", scheduler=sched.eid)
+    late = probe("b", scheduler=sched)
     worker.handle(("probe", late, tight), 11 * US)
     assert worker.queue.rotating == [late]
     drain(sim)
@@ -324,7 +324,7 @@ def test_sent_rotation_probes_are_not_the_live_buffer(buffered):
 def test_rotate_groups_by_job_in_first_seen_order(buffer, sent_order):
     sim, worker, sched, _ = make_worker()
     run_busy(worker, sched)
-    by_name = {name: probe(name[0], task=int(name[1]), scheduler=sched.eid)
+    by_name = {name: probe(name[0], task=int(name[1]), scheduler=sched)
                for name in buffer}
     for name in buffer:
         worker.handle(("probe", by_name[name], state(1, 10_000)), 10 * US)
@@ -342,7 +342,7 @@ class JobFinisher:
 
     def __init__(self, sim):
         self.sim = sim
-        self.eid = sim.add_entity(self)
+        sim.add_entity(self)
 
     def handle(self, payload, now):
         self.sim.records.append(payload)
@@ -364,8 +364,8 @@ def test_ring_stops_rearming_once_all_jobs_are_done():
     interval = sim.config.rotation_interval_us
     finisher = JobFinisher(sim)
     sim.total_jobs = 1
-    sim.schedule_at(interval, ring.eid, ("round",))
-    sim.schedule_at(5 * interval // 2, finisher.eid, ("done",))
+    sim.schedule_at(interval, ring, ("round",))
+    sim.schedule_at(5 * interval // 2, finisher, ("done",))
     # Rounds at 1, 2 and 3 intervals, plus the finisher's event; the
     # round at 3 intervals sees every job done and does not re-arm.
     assert sim.run() == 4
@@ -386,7 +386,7 @@ def test_adopt_smaller_quota_trims_queue():
     s = state(10, 10_000, version=(1, 0))
     for task in range(4):
         worker.handle(("probe", probe("j", task=task, mu=10_000,
-                                      scheduler=sched.eid),
+                                      scheduler=sched),
                        s), 10 * US)
     assert len(worker.queue.entries) == 4
     worker.adopt_shared_state(state(3, 10_000, version=(2, 0)))
@@ -400,7 +400,7 @@ def test_adopt_larger_quota_evicts_nothing():
     s = state(10, 10_000, version=(1, 0))
     for task in range(4):
         worker.handle(("probe", probe("j", task=task, mu=10_000,
-                                      scheduler=sched.eid),
+                                      scheduler=sched),
                        s), 10 * US)
     before = list(worker.queue.entries)
     assert len(before) == 4
@@ -411,9 +411,9 @@ def test_adopt_larger_quota_evicts_nothing():
 
 def test_assign_runs_task_and_completion_promotes_queue():
     sim, worker, sched, _ = make_worker()
-    p = probe("j", scheduler=sched.eid)
+    p = probe("j", scheduler=sched)
     worker.handle(("probe", p, state(5, 100)), 0)
-    q = probe("k", lam=1, theta=3, scheduler=sched.eid)
+    q = probe("k", lam=1, theta=3, scheduler=sched)
     worker.handle(("probe", q, state(5, 100)), 1 * US)
     assert worker.queue.entries == [q]
     worker.handle(("assign", p, 0, 68 * US, state(5, 100)), 10 * US)
@@ -429,7 +429,7 @@ def test_assign_runs_task_and_completion_promotes_queue():
 
 def test_completion_with_empty_queue_goes_idle():
     sim, worker, sched, _ = make_worker()
-    p = probe("j", scheduler=sched.eid)
+    p = probe("j", scheduler=sched)
     worker.handle(("probe", p, state(5, 100)), 0)
     worker.handle(("assign", p, 0, 10 * US, state(5, 100)), 0)
     sim.run()
@@ -455,7 +455,8 @@ def make_slot_worker(cls):
     sim = Simulation(SimConfig(workers=2, net_delay_us=0))
     sched = Recorder(sim)
     if cls is EagleWorker:
-        worker = cls(sim, 0, "general", short_worker_eids=[sched.eid])
+        worker = cls(sim, 0, "general")
+        worker.short_workers = [sched]
     else:
         worker = cls(sim, 0)
     if cls is PeacockWorker:
@@ -469,7 +470,7 @@ def test_slot_holds_its_probe_and_finish_through_the_lifecycle(cls):
     sim, worker, sched, message = make_slot_worker(cls)
     # Estimates below 3 s are short for Eagle, so no probe leaves for the
     # placer; r's longer one keeps it behind q in every queue order.
-    p, q, r, t = (probe(job, theta=theta, scheduler=sched.eid)
+    p, q, r, t = (probe(job, theta=theta, scheduler=sched)
                   for job, theta in zip("pqrt", (1, 1, 2, 1)))
 
     def slot():
@@ -510,7 +511,7 @@ def test_slot_holds_its_probe_and_finish_through_the_lifecycle(cls):
 @pytest.mark.parametrize("phase", ["idle", "reserved", "running"])
 def test_complete_outside_its_tasks_end_is_protocol_violation(cls, phase):
     sim, worker, sched, message = make_slot_worker(cls)
-    p = probe("j", theta=1, scheduler=sched.eid)
+    p = probe("j", theta=1, scheduler=sched)
     if phase != "idle":
         worker.handle(message("probe", p), 0)
     if phase == "running":
@@ -522,7 +523,7 @@ def test_complete_outside_its_tasks_end_is_protocol_violation(cls, phase):
 @pytest.mark.parametrize("cls", SLOT_WORKERS, ids=lambda c: c.__name__)
 def test_assign_on_a_running_slot_is_protocol_violation(cls):
     sim, worker, sched, message = make_slot_worker(cls)
-    p = probe("j", theta=1, scheduler=sched.eid)
+    p = probe("j", theta=1, scheduler=sched)
     worker.handle(message("probe", p), 0)
     worker.handle(message("assign", p, 0, 10 * US), 0)
     with pytest.raises(ProtocolError, match="without matching reservation"):
@@ -540,7 +541,7 @@ def test_answer_for_a_copy_of_the_reserved_probe_is_protocol_violation(
     # An answer is matched to the slot by identity: an equal copy of the
     # reserved probe holds no reservation.  Peacock never cancels.
     sim, worker, sched, message = make_slot_worker(cls)
-    p = probe("j", theta=1, scheduler=sched.eid)
+    p = probe("j", theta=1, scheduler=sched)
     worker.handle(message("probe", p), 0)
     twin = copy.copy(p)
     assert twin is not p and probe_key(twin) == probe_key(p)

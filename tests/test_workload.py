@@ -555,6 +555,10 @@ def test_spec_validation(bad):
     # An infinite mean would otherwise be blamed on the load.
     (dict(mean_tasks=math.inf), "mean_tasks"),
     (dict(mean_duration_us=math.inf), "mean_duration_us"),
+    # Finite, but log(1 - 1/mean_tasks), which the task-count sampler
+    # divides by, is 0.0 from 2 ** 54 up.
+    (dict(mean_tasks=1e17), "mean_tasks"),
+    (dict(mean_tasks=float(2 ** 54)), "mean_tasks"),
     # sigma is a standard deviation, so finite and not negative.
     (dict(sigma=math.nan), "sigma"),
     (dict(sigma=math.inf), "sigma"),
@@ -570,7 +574,8 @@ def test_spec_validation(bad):
         "zero-short", "negative-short", "zero-long", "negative-long",
         "fractional-short", "zero-mean-duration", "negative-mean-duration",
         "nan-mean-duration", "infinite-tasks", "infinite-mean-duration",
-        "nan-sigma", "infinite-sigma", "negative-sigma", "huge-sigma",
+        "huge-tasks", "tasks-2-to-54", "nan-sigma", "infinite-sigma",
+        "negative-sigma", "huge-sigma",
         "zero-load", "negative-load", "nan-load", "infinite-load"])
 def test_spec_that_cannot_meet_its_load_names_the_field(bad, field):
     with pytest.raises(ValueError, match="^%s " % field):
@@ -592,3 +597,12 @@ def test_spec_that_cannot_meet_its_load_names_the_field(bad, field):
 def test_spec_count_and_seed_must_be_integers(bad, field):
     with pytest.raises(ValueError, match="^%s " % field):
         SyntheticSpec(**{"load": 1.0, "job_count": 10, **bad})
+
+
+def test_spec_takes_the_largest_mean_tasks_it_can_sample():
+    # The float just below 2 ** 54 still gives a nonzero log.  Only built:
+    # generate would draw jobs of about this many tasks.
+    largest = 1.8014398509481982e16
+    assert largest < 2 ** 54 and largest.hex() == "0x1.fffffffffffffp+53"
+    assert SyntheticSpec(load=1.0, job_count=1,
+                         mean_tasks=largest).mean_tasks == largest
