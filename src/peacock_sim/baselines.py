@@ -6,7 +6,8 @@ first unlaunched task of its stage and cancels surplus probes.  Neither
 scheduler adds a binding rule of its own.
 
 Sparrow: batch sampling (PROBE_RATIO probes per task to random workers)
-and a FIFO worker queue.
+and a FIFO worker queue, the slot machine's list with each arrival
+appended.
 
 Eagle: a static long/short job split.  A stage whose mean task estimate
 is above LONG_CUTOFF_US is long.  A centralized placer puts each long
@@ -26,7 +27,6 @@ constants rather than configuration.
 """
 
 import heapq
-from collections import deque
 
 from .engine import ProtocolError, US_PER_S, derived_rng
 from .probes import Probe
@@ -40,20 +40,13 @@ SRPT_BOUND_US = 5 * US_PER_S    # Eagle: queue wait after which no bypassing
 
 
 class SparrowWorker(SlotWorker):
-    """Plain FIFO queue, no rotation, no shared state."""
-
-    def __init__(self, sim, index):
-        super().__init__(sim, index)
-        self.queue = deque()
+    """FIFO queue, no rotation, no shared state."""
 
     def on_probe_arrival(self, probe, now):
         if self.slot is None:
             self._reserve(probe, now)
         else:
             self.queue.append(probe)
-
-    def _pop_queue(self):
-        return self.queue.popleft() if self.queue else None
 
 
 class EagleWorker(SlotWorker):
@@ -69,16 +62,15 @@ class EagleWorker(SlotWorker):
     its tags, so making it late gives the same draws as making it at
     build time."""
 
-    def __init__(self, sim, index, partition):
+    def __init__(self, sim, index):
         super().__init__(sim, index)
-        self.partition = partition          # "short" or "general"
         self.rng = None                     # made on the first re-sample
-        self.queue = []
         self.long_count = 0                 # long probes queued or running
 
     def on_probe_arrival(self, probe, now):
         if probe.runtime_us > LONG_CUTOFF_US:
-            if self.partition == "short":
+            # The placer's workers are the general partition.
+            if self.index not in self.central.workers:
                 raise ProtocolError(
                     "long probe reached short-partition worker %d" % self.index)
             self.long_count += 1
@@ -110,9 +102,6 @@ class EagleWorker(SlotWorker):
             else:
                 break
         entries.insert(i, probe)
-
-    def _pop_queue(self):
-        return self.queue.pop(0) if self.queue else None
 
     def _finished(self, probe, now):
         if probe.runtime_us > LONG_CUTOFF_US:

@@ -179,7 +179,6 @@ def write_outputs(out_dir, name, payload, records, fmt):
                 writer.writerow([r.job_id, r.scheduler, r.arrival_us,
                                  r.completion_us, r.jct_us,
                                  ";".join(map(str, r.rotations))])
-    return path
 
 
 def _flatten(obj, prefix=""):

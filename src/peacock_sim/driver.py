@@ -47,8 +47,7 @@ def _build_eagle(sim, config):
     # One short worker at least once W >= 2; SHORT_FRACTION = 0.15 always
     # leaves general ones.
     short_count = max(1, round(SHORT_FRACTION * W)) if W > 1 else 0
-    workers = [EagleWorker(sim, i, "short" if i < short_count else "general")
-               for i in range(W)]
+    workers = [EagleWorker(sim, i) for i in range(W)]
     short_workers = workers[:short_count] or workers
     central = EagleCentral(sim, workers[short_count:])
     for w in workers:

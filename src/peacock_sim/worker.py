@@ -12,16 +12,18 @@ the queue empty, goes idle; so an idle worker's queue is empty.  While
 reserved, the worker neither executes nor pulls another probe.  Two
 attributes hold the slot's state: ``slot`` is the probe that holds it
 (None while idle), and ``finish_us`` the instant its task ends (None while
-reserved or idle).  Each algorithm's worker adds only its arrival rule,
-its queue order and a hook run after the finish report.
+reserved or idle).  Every worker runs ``SlotWorker.handle``; each
+algorithm's worker adds only its arrival rule, its queue order and a hook
+run after the finish report.
 
-``PeacockWorker`` is one node of the ring.  Its elastic queue sees a
-remaining runtime of zero while the slot is reserved.  Probes marked for
-rotation wait in the rotating buffer until the next ring round hands them,
-each job's together, to the successor.  A worker that gains rotating
-probes or adopts a fresher shared state adds its index to the ring's dirty
-set.  Both persist until the next round, so a round visits exactly the
-dirty workers.
+``PeacockWorker`` is one node of the ring.  A ``probe`` or ``assign`` it
+receives carries its sender's shared state last, which it adopts before
+the slot acts.  Its elastic queue sees a remaining runtime of zero while
+the slot is reserved.  Probes marked for rotation wait in the rotating
+buffer until the next ring round hands them, each job's together, to the
+successor.  A worker that gains rotating probes or adopts a fresher shared
+state adds its index to the ring's dirty set.  Both persist until the next
+round, so a round visits exactly the dirty workers.
 
 A round is one engine event.  It builds a batch of hand-offs, one from
 each dirty worker in index order, each carrying the rotated probes (the
@@ -48,9 +50,10 @@ class SlotWorker:
     """A single execution slot fed from a probe queue.  ``slot`` is the
     probe that holds the slot, None while it is idle; ``finish_us`` is the
     instant that probe's task ends, None while reserved or idle.
-    Subclasses define ``on_probe_arrival`` and ``_pop_queue`` (the next
-    probe, or None); ``PeacockWorker`` replaces ``handle`` and takes probes
-    in ``accept``."""
+    ``queue`` is a list of waiting probes, and ``_pop_queue`` takes its
+    head, or None when it is empty.  Subclasses define
+    ``on_probe_arrival``, which orders the list; ``PeacockWorker``
+    replaces the list with its elastic queue, and so ``_pop_queue`` too."""
 
     def __init__(self, sim, index):
         self.sim = sim
@@ -58,14 +61,15 @@ class SlotWorker:
         sim.add_entity(self)
         self.slot = None
         self.finish_us = None
+        self.queue = []
 
     def handle(self, payload, now):
         kind = payload[0]
         if kind == "probe":
             self.on_probe_arrival(payload[1], now)
         elif kind == "assign":
-            _, probe, task_id, duration_us = payload
-            self.on_task_assign(probe, task_id, duration_us, now)
+            # By index, so a trailing shared state (Peacock's) is ignored.
+            self.on_task_assign(payload[1], payload[2], payload[3], now)
         elif kind == "cancel":
             self.on_task_cancel(payload[1], now)
         elif kind == "complete":
@@ -109,6 +113,9 @@ class SlotWorker:
         self._finished(probe, now)
         self._next_or_idle(now)
 
+    def _pop_queue(self):
+        return self.queue.pop(0) if self.queue else None
+
     def _finished(self, probe, now):
         """Runs after the finish of ``probe``'s task is reported."""
 
@@ -122,7 +129,8 @@ class SlotWorker:
 
 class PeacockWorker(SlotWorker):
     """One ring node: elastic queue, single execution slot, rotating buffer.
-    Every message it receives but ``complete`` carries a shared state."""
+    The ``probe`` and ``assign`` messages it receives carry a shared
+    state."""
 
     def __init__(self, sim, index):
         super().__init__(sim, index)
@@ -136,22 +144,14 @@ class PeacockWorker(SlotWorker):
 
     def handle(self, payload, now):
         kind = payload[0]
-        if kind == "probe":
-            _, probe, state = payload
-            self.adopt_shared_state(state)
-            self.accept((probe,), now)
-        elif kind == "assign":
-            _, probe, task_id, duration_us, state = payload
-            self.adopt_shared_state(state)
-            self.on_task_assign(probe, task_id, duration_us, now)
-        elif kind == "complete":
-            _, task_id, duration_us = payload
-            self.on_task_complete(task_id, duration_us, now)
-        else:
-            raise ProtocolError("worker %d: unknown payload %r"
-                                % (self.index, kind))
+        if kind == "probe" or kind == "assign":
+            self.adopt_shared_state(payload[-1])
+        super().handle(payload, now)
 
     # -- probe handling -----------------------------------------------------
+
+    def on_probe_arrival(self, probe, now):
+        self.accept((probe,), now)
 
     def accept(self, probes, now):
         """Take arriving probes in order.  If the slot is idle, the queue is

@@ -2,6 +2,8 @@
 cancellation, the static partition, re-sampling, and bounded
 shortest-first reordering."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -145,8 +147,10 @@ def make_eagle_worker(partition="general"):
     sim = Simulation(SimConfig(workers=2, algo="eagle", net_delay_us=0))
     sched = Recorder(sim)
     short_stub = Recorder(sim)
-    w = EagleWorker(sim, 0, partition)
+    w = EagleWorker(sim, 0)
     w.short_workers = [short_stub]
+    # The placer's workers are the general partition.
+    sched.workers = {0: w} if partition == "general" else {}
     w.central = sched
     return sim, w, sched, short_stub
 
@@ -287,18 +291,27 @@ def test_eagle_short_partition_size(workers, short):
     # the general side is needed: W = 2 keeps one general worker.
     sim = Simulation(SimConfig(workers=workers, algo="eagle"))
     built, _ = driver._build_eagle(sim, sim.config)
-    assert [w.partition for w in built] == \
-        ["short"] * short + ["general"] * (workers - short)
+    central = built[0].central
+    assert [w.index in central.workers for w in built] == \
+        [False] * short + [True] * (workers - short)
+    assert list(central.workers.values()) == built[short:]
 
 
-def test_eagle_makes_a_worker_stream_only_when_it_resamples(monkeypatch):
-    # Long work on three general workers; short probes landing there are
-    # re-sampled, and only those workers may make a stream.
+@pytest.fixture
+def eagle_builds(monkeypatch):
+    """The (workers, schedulers) of each Eagle run the test makes."""
     built = []
     build = driver._BUILDERS["eagle"]
     monkeypatch.setitem(driver._BUILDERS, "eagle",
                         lambda sim, cfg: built.append(build(sim, cfg))
                         or built[-1])
+    return built
+
+
+def test_eagle_makes_a_worker_stream_only_when_it_resamples(eagle_builds,
+                                                            monkeypatch):
+    # Long work on three general workers; short probes landing there are
+    # re-sampled, and only those workers may make a stream.
     resamples = {}
     arrive = EagleWorker.on_probe_arrival
 
@@ -314,7 +327,7 @@ def test_eagle_makes_a_worker_stream_only_when_it_resamples(monkeypatch):
         job("s%d" % i, [1] * 4, submit_us=US + i * US // 10)
         for i in range(30)]
     driver.run_simulation(cfg, records)
-    (workers, _), = built
+    (workers, _), = eagle_builds
     with_rng = {w.index for w in workers if w.rng is not None}
     assert 0 < len(with_rng) <= 3
     assert with_rng == set(resamples)
@@ -336,3 +349,47 @@ def test_baseline_runs_reach_quiescence(algo):
     assert len(result.records) == 60
     assert result.counters["tasks_launched"] == \
         result.counters["tasks_finished"]
+
+
+def dag_jobs(seed, count=20):
+    """Multi-stage jobs: every stage after the first depends on one or two
+    earlier ones, and one stage in four has tasks of 2-8 s, whose mean is
+    often above Eagle's 3 s long cutoff."""
+    rng = random.Random(seed)
+    jobs = []
+    for i in range(count):
+        stages = []
+        for s in range(rng.randint(2, 4)):
+            low, high = (2 * US, 8 * US) if rng.random() < 0.25 \
+                else (US // 10, US)
+            durations = [rng.randint(low, high)
+                         for _ in range(rng.randint(2, 5))]
+            deps = sorted(rng.sample(range(s), min(s, rng.randint(1, 2))))
+            stages.append(Stage(durations, deps))
+        jobs.append(TraceRecord("d%d" % i, i * 400_000, stages))
+    return jobs
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 20])
+@pytest.mark.parametrize("shape", ["two_class", "dag"])
+def test_eagle_bookkeeping_drains(eagle_builds, shape, workers, seed):
+    # The placer's loads and each worker's long-probe count return to 0
+    # once every long task has finished.
+    if shape == "dag":
+        records = dag_jobs(seed)
+    else:
+        records = generate(
+            SyntheticSpec(load=0.8, job_count=40, seed=seed, mean_tasks=3.0,
+                          duration_model="two_class", short_fraction=0.7,
+                          short_duration_us=US, long_duration_us=10 * US),
+            workers)
+    cfg = SimConfig(workers=workers, schedulers=2, seed=seed, algo="eagle")
+    result = driver.run_simulation(cfg, records)
+    # Some stage was long: it sent one probe per task, not PROBE_RATIO.
+    tasks = sum(r.task_count for r in records)
+    assert result.counters["probes_created"] < PROBE_RATIO * tasks
+    (eagle_workers, _), = eagle_builds
+    central = eagle_workers[0].central
+    assert set(central.loads_us.values()) == {0}
+    assert [w.long_count for w in eagle_workers] == [0] * workers

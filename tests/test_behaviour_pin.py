@@ -195,8 +195,8 @@ ENTITY_STATE = {
                 sorted(SCHEDULER_STATE + ["_state", "load_us", "peers",
                                           "probe_count"])),
     "sparrow": (SLOT_STATE, SCHEDULER_STATE),
-    "eagle": (sorted(SLOT_STATE + ["central", "long_count", "partition",
-                                   "rng", "short_workers"]),
+    "eagle": (sorted(SLOT_STATE + ["central", "long_count", "rng",
+                                   "short_workers"]),
               sorted(SCHEDULER_STATE + ["central"])),
 }
 

@@ -1,8 +1,9 @@
 """The package stays pure Python with no runtime dependencies: pyproject
 declares none, and every absolute import in ``src/peacock_sim`` names a
-standard-library module.  Every name a module imports is used there.  The
-sources are read with ``ast``, not imported, so a third-party import fails
-here even where it is installed."""
+standard-library module.  Every name a module of the package or of the
+tests imports is used there.  The sources are read with ``ast``, not
+imported, so a third-party import fails here even where it is
+installed."""
 
 import ast
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "peacock_sim"
+TESTS = ROOT / "tests"
 
 
 def test_pyproject_declares_no_runtime_dependencies():
@@ -65,11 +67,22 @@ def used_names(tree):
     return used
 
 
-def test_package_uses_every_name_it_imports():
+def unused_imports(paths):
+    """``(file name, name)`` for each imported name a file never uses."""
     unused = set()
-    for path in sorted(PACKAGE.rglob("*.py")):
+    for path in paths:
         tree = ast.parse(path.read_text(), str(path))
         used = used_names(tree)
         unused |= {(path.name, name) for name in imported_names(tree)
                    if name not in used}
-    assert unused == set()
+    return unused
+
+
+def test_package_uses_every_name_it_imports():
+    assert unused_imports(sorted(PACKAGE.rglob("*.py"))) == set()
+
+
+def test_tests_use_every_name_they_import():
+    sources = sorted(TESTS.glob("*.py"))
+    assert sources
+    assert unused_imports(sources) == set()

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from peacock_sim.probes import (EMPTY_STATE, INSERTED, ROTATED,
-                                InvalidProbeError, Probe, SharedState,
-                                WaitingQueue)
+from peacock_sim.probes import (INSERTED, ROTATED, InvalidProbeError, Probe,
+                                SharedState, WaitingQueue)
 from reference_queue import probe_key, ref_enqueue, ref_trim
 
 US = 1_000_000

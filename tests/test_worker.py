@@ -454,11 +454,7 @@ def make_slot_worker(cls):
     messages carry a shared state too)."""
     sim = Simulation(SimConfig(workers=2, net_delay_us=0))
     sched = Recorder(sim)
-    if cls is EagleWorker:
-        worker = cls(sim, 0, "general")
-        worker.short_workers = [sched]
-    else:
-        worker = cls(sim, 0)
+    worker = cls(sim, 0)
     if cls is PeacockWorker:
         s = state(5, 100)
         return sim, worker, sched, lambda *message: message + (s,)
@@ -532,14 +528,14 @@ def test_assign_on_a_running_slot_is_protocol_violation(cls):
 
 
 @pytest.mark.parametrize("cls, kind", [
-    (PeacockWorker, "assign"), (SparrowWorker, "assign"),
-    (SparrowWorker, "cancel"), (EagleWorker, "assign"),
-    (EagleWorker, "cancel"),
+    (PeacockWorker, "assign"), (PeacockWorker, "cancel"),
+    (SparrowWorker, "assign"), (SparrowWorker, "cancel"),
+    (EagleWorker, "assign"), (EagleWorker, "cancel"),
 ], ids=lambda x: getattr(x, "__name__", x))
 def test_answer_for_a_copy_of_the_reserved_probe_is_protocol_violation(
         cls, kind):
     # An answer is matched to the slot by identity: an equal copy of the
-    # reserved probe holds no reservation.  Peacock never cancels.
+    # reserved probe holds no reservation.
     sim, worker, sched, message = make_slot_worker(cls)
     p = probe("j", theta=1, scheduler=sched)
     worker.handle(message("probe", p), 0)
@@ -550,3 +546,31 @@ def test_answer_for_a_copy_of_the_reserved_probe_is_protocol_violation(
     with pytest.raises(ProtocolError, match="without matching reservation"):
         worker.handle(answer, 1 * US)
     assert worker.slot is p and worker.finish_us is None
+
+
+@pytest.mark.parametrize("queued", [True, False], ids=["queued", "empty"])
+def test_peacock_cancel_moves_the_slot_to_its_queue_head_or_idle(queued):
+    # Peacock's schedulers bind every probe, so none sends a cancel; one
+    # that arrives still runs through the slot machine every worker shares.
+    sim, worker, sched, message = make_slot_worker(PeacockWorker)
+    p, q = (probe(job, theta=1, scheduler=sched) for job in "pq")
+    worker.handle(message("probe", p), 0)
+    if queued:
+        worker.handle(message("probe", q), 1 * US)
+        assert worker.slot is p and len(worker.queue) == 1
+    worker.handle(("cancel", p), 2 * US)
+    assert worker.slot is (q if queued else None)
+    assert worker.finish_us is None and len(worker.queue) == 0
+    sim.run()
+    requests = [m for _, m in sched.inbox if m[0] == "task_request"]
+    assert requests == [("task_request", x, worker)
+                        for x in ([p, q] if queued else [p])]
+
+
+@pytest.mark.parametrize("cls", SLOT_WORKERS, ids=lambda c: c.__name__)
+def test_unknown_payload_kind_is_protocol_violation(cls):
+    sim, worker, sched, message = make_slot_worker(cls)
+    with pytest.raises(ProtocolError,
+                       match=r"^worker 0: unknown payload 'bogus'$"):
+        worker.handle(message("bogus"), 0)
+    assert worker.slot is None and worker.finish_us is None
